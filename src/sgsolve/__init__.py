@@ -6,7 +6,7 @@ simulation over a partial model (``solve_pe``).  Both return certified
 lower and upper bounds on the value of the initial state.
 """
 
-from .bounds import BoundsVector, Strategy, bellman, converged, extract_strategy, midpoint
+from .bounds import BoundsVector, Strategy, converged, extract_strategy, midpoint
 from .ce import solve_ce
 from .explicit import ExplicitSyntaxError, parse, serialize
 from .generators import GENERATORS, ParameterOutOfRange, generate
@@ -20,7 +20,7 @@ from .model import (
     collapse,
     induced_mdp,
 )
-from .objectives import Objective, ObjectiveKind, init_bounds, reach_as_meanpayoff
+from .objectives import Objective, ObjectiveKind, Query, init_bounds, prepare, reach_as_meanpayoff
 from .pe import solve_pe
 from .result import SolveResult
 
@@ -39,10 +39,10 @@ __all__ = [
     "ObjectiveKind",
     "ParameterOutOfRange",
     "Player",
+    "Query",
     "SolveResult",
     "Strategy",
     "attractor",
-    "bellman",
     "build_game",
     "collapse",
     "converged",
@@ -53,6 +53,7 @@ __all__ = [
     "mec_decompose",
     "midpoint",
     "parse",
+    "prepare",
     "qualitative_reach",
     "reach_as_meanpayoff",
     "serialize",

@@ -1,9 +1,9 @@
-"""Lower/upper bound vectors and the Bellman operator."""
+"""Lower/upper bound vectors and the guarded Bellman update."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .model import GameModel, Player
 
@@ -37,33 +37,35 @@ class Strategy:
     choice: tuple[Optional[int], ...]  # None on the other player's states
 
 
-def state_update(model: GameModel, x: Sequence[float], state: int) -> float:
-    """One Bellman step at a single state: optimal one-step expectation."""
-    best = None
-    maximize = model.owner(state) is Player.MAXIMIZER
+def state_update(model: GameModel, bounds: BoundsVector, state: int) -> None:
+    """Guarded Bellman update of both bounds at one state.
+
+    Each bound moves to the owner's optimal one-step expectation under
+    itself, but only if that tightens it, and never past the other bound.
+    Sound bounds stay sound."""
+    lb, ub = bounds.lb, bounds.ub
+    maximize = model.owners[state] is Player.MAXIMIZER
+    best_u = best_l = None
     for dist in model.actions[state]:
-        value = sum(p * x[t] for t, p in dist.support)
-        if best is None or (value > best if maximize else value < best):
-            best = value
-    assert best is not None
-    return best
-
-
-def bellman(
-    model: GameModel,
-    x: Sequence[float],
-    scope: Optional[Iterable[int]] = None,
-) -> list[float]:
-    """Apply the Bellman update on ``scope`` (default: all states).
-
-    States outside the scope keep their current estimate.  If ``x`` is a
-    correct lower (upper) bound on the value, so is the result.
-    """
-    result = list(x)
-    states = model.states() if scope is None else scope
-    for s in states:
-        result[s] = state_update(model, x, s)
-    return result
+        support = dist.support
+        u = sum(p * ub[t] for t, p in support)
+        l = sum(p * lb[t] for t, p in support)
+        if best_u is None:
+            best_u, best_l = u, l
+        elif maximize:
+            if u > best_u:
+                best_u = u
+            if l > best_l:
+                best_l = l
+        else:
+            if u < best_u:
+                best_u = u
+            if l < best_l:
+                best_l = l
+    if best_u < ub[state]:
+        ub[state] = max(best_u, lb[state])
+    if best_l > lb[state]:
+        lb[state] = min(best_l, ub[state])
 
 
 def optimal_actions(

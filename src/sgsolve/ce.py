@@ -8,33 +8,14 @@ from typing import Callable, Optional
 
 from .bounds import BoundsVector, converged, midpoint, state_update
 from .ecsolve import MecTracker
-from .graph import controlled_ec, mec_decompose, qualitative_reach
-from .model import Distribution, GameModel, build_game, collapse
-from .objectives import LabelMismatch, Objective, ObjectiveKind
+from .graph import controlled_ec, mec_decompose
+from .model import GameModel, Player, collapse
+from .objectives import Objective, ObjectiveKind, init_bounds, prepare
 from .result import SolveResult
 
 Instrument = Callable[[int, GameModel, BoundsVector], None]
 
 DEFAULT_MAX_SWEEPS = 10_000_000
-
-
-def _swap_owners(model: GameModel) -> GameModel:
-    return build_game(
-        tuple(o.opponent for o in model.owners),
-        model.actions,
-        model.rewards,
-        model.initial,
-    )
-
-
-def _make_absorbing(model: GameModel, states: frozenset[int]) -> GameModel:
-    if not states:
-        return model
-    action_lists = [
-        (Distribution.dirac(s),) if s in states else model.actions[s]
-        for s in model.states()
-    ]
-    return build_game(model.owners, action_lists, model.rewards, model.initial)
 
 
 def _merge_bounds(bounds: BoundsVector, cmap, new_n: int) -> BoundsVector:
@@ -99,8 +80,6 @@ def _collapse_controlled(
 
 
 def _collapsible_controller(model, mec, objective):
-    from .model import Player
-
     controller = controlled_ec(model, mec)
     if controller is None:
         return None
@@ -131,94 +110,35 @@ def solve_ce(
     (``converged`` is False then).
 
     ``initial_bounds`` overrides the default initialization (given in the
-    original state numbering and required to be sound); ``enable_deflation``
-    and ``enable_collapse`` exist to study the untreated fixpoint behaviour
-    and disable end-component handling."""
+    original state numbering and the caller's orientation, and required to
+    be sound); ``enable_deflation`` and ``enable_collapse`` exist to study
+    the untreated fixpoint behaviour and disable end-component handling."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if objective.kind is ObjectiveKind.SAFETY:
-        inner = solve_ce(
-            _swap_owners(model),
-            Objective.reachability(objective.avoid),
-            epsilon,
-            max_sweeps=max_sweeps,
-            enable_deflation=enable_deflation,
-            enable_collapse=enable_collapse,
-            qualitative=qualitative,
-            initial_bounds=initial_bounds,
-            instrument=instrument,
-        )
-        flipped = None
-        if inner.bounds is not None:
-            flipped = BoundsVector(
-                [1.0 - u for u in inner.bounds.ub],
-                [1.0 - l for l in inner.bounds.lb],
-            )
-        return SolveResult(
-            value=1.0 - inner.value,
-            lower=1.0 - inner.upper,
-            upper=1.0 - inner.lower,
-            precision=epsilon,
-            mode="ce",
-            objective="safety",
-            iterations=inner.iterations,
-            states_explored=inner.states_explored,
-            converged=inner.converged,
-            bounds=flipped,
-            state_map=inner.state_map,
-            stats=dict(inner.stats, dualized=True),
-        )
-
-    work = model
+    query = prepare(model, objective)
+    work = query.model
     mapping = list(range(model.num_states))
-    is_reach = objective.kind is ObjectiveKind.REACHABILITY
-    pinned_one: frozenset[int] = frozenset()
-    pinned_zero: frozenset[int] = frozenset()
-
+    is_reach = not objective.is_mean_payoff
+    # The value-1 and value-0 regions are read off the initial bounds, which
+    # pin them (the goal and avoid states alone without ``qualitative``).
+    bounds = init_bounds(work, query.objective, qualitative)
+    pinned_one = pinned_zero = frozenset()
     if is_reach:
-        if not objective.goal:
-            raise LabelMismatch("reachability goal must be non-empty")
-        work = _make_absorbing(work, objective.goal | objective.avoid)
-        if qualitative:
-            pinned_one, pinned_zero = qualitative_reach(
-                work, objective.goal, objective.avoid
-            )
-        else:
-            pinned_one = objective.goal
-            pinned_zero = objective.avoid
-
+        pinned_one = frozenset(s for s in work.states() if bounds.lb[s] == 1.0)
+        pinned_zero = frozenset(s for s in work.states() if bounds.ub[s] == 0.0)
     if initial_bounds is not None:
-        bounds = initial_bounds.copy()
-    elif is_reach:
-        bounds = BoundsVector([0.0] * work.num_states, [1.0] * work.num_states)
-        for s in pinned_one:
-            bounds.lb[s] = 1.0
-        for s in pinned_zero:
-            bounds.ub[s] = 0.0
-    else:
-        bounds = BoundsVector(
-            [objective.rmin] * work.num_states,
-            [objective.rmax] * work.num_states,
-        )
+        bounds = query.orient(initial_bounds).copy()
 
-    if enable_collapse and is_reach:
-        sets, exits = [], []
-        if len(pinned_one) > 1:
-            sets.append(pinned_one)
-            exits.append([])
-        if len(pinned_zero) > 1:
-            sets.append(pinned_zero)
-            exits.append([])
+    if enable_collapse:
+        sets = [pinned for pinned in (pinned_one, pinned_zero) if len(pinned) > 1]
         if sets:
-            work, cmap = collapse(work, sets, exits)
+            work, cmap = collapse(work, sets, [[] for _ in sets])
             mapping = [cmap(m) for m in mapping]
             pinned_one = frozenset(cmap(s) for s in pinned_one)
             pinned_zero = frozenset(cmap(s) for s in pinned_zero)
             bounds = _merge_bounds(bounds, cmap, work.num_states)
-
-    if enable_collapse:
         protected = pinned_one | pinned_zero
-        work2, cmap = _collapse_controlled(work, objective, protected)
+        work2, cmap = _collapse_controlled(work, query.objective, protected)
         if cmap is not None:
             work = work2
             mapping = [cmap(m) for m in mapping]
@@ -231,7 +151,7 @@ def solve_ce(
             ObjectiveKind.REACHABILITY, goal=pinned_one, avoid=pinned_zero
         )
     else:
-        working_objective = objective
+        working_objective = query.objective
 
     trackers: list[MecTracker] = []
     if enable_deflation:
@@ -244,14 +164,8 @@ def solve_ce(
     while sweeps < max_sweeps and not done:
         sweeps += 1
         for s in work.states():
-            if bounds.ub[s] - bounds.lb[s] <= epsilon:
-                continue
-            up = state_update(work, bounds.ub, s)
-            if up < bounds.ub[s]:
-                bounds.ub[s] = max(up, bounds.lb[s])
-            lo = state_update(work, bounds.lb, s)
-            if lo > bounds.lb[s]:
-                bounds.lb[s] = min(lo, bounds.ub[s])
+            if bounds.ub[s] - bounds.lb[s] > epsilon:
+                state_update(work, bounds, s)
         if enable_deflation:
             for tracker in trackers:
                 if all(
@@ -264,7 +178,7 @@ def solve_ce(
             instrument(sweeps, work, bounds)
         done = converged(bounds, start, epsilon)
 
-    return SolveResult(
+    return query.orient(SolveResult(
         value=midpoint(bounds, start),
         lower=bounds.lb[start],
         upper=bounds.ub[start],
@@ -277,4 +191,4 @@ def solve_ce(
         bounds=bounds,
         state_map=tuple(mapping),
         stats={"working_states": work.num_states},
-    )
+    ))

@@ -11,17 +11,13 @@ components in the induced restriction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .bounds import BoundsVector, optimal_actions
 from .graph import EndComponent, mec_decompose
 from .model import GameModel, Player
 from .objectives import Objective, ObjectiveKind
-
-
-class NotAMec(Exception):
-    pass
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .model import Distribution, GameModel, Player
+from .model import GameModel, Player
 
 ActionFilter = Callable[[int], Iterable[int]]
 
@@ -236,15 +236,15 @@ def attractor(
     return frozenset(inside)
 
 
-def _positive_reach(model: GameModel, goal: set[int]) -> set[int]:
+def _positive_reach(model: GameModel, goal: set[int], unsafe: set[int]) -> set[int]:
     """States from which Maximizer can reach ``goal`` with positive
-    probability against every Minimizer strategy."""
+    probability against every Minimizer strategy, never through ``unsafe``."""
     reach = set(goal)
     changed = True
     while changed:
         changed = False
         for s in model.states():
-            if s in reach:
+            if s in reach or s in unsafe:
                 continue
             hits = [
                 any(t in reach for t, _ in d.support) for d in model.actions[s]
@@ -259,12 +259,13 @@ def _positive_reach(model: GameModel, goal: set[int]) -> set[int]:
     return reach
 
 
-def _almost_sure_reach(model: GameModel, goal: set[int]) -> set[int]:
+def _almost_sure_reach(model: GameModel, goal: set[int], unsafe: set[int]) -> set[int]:
     """States from which Maximizer can force reaching ``goal`` with
-    probability 1.  Standard two-nested fixpoint: the outer set shrinks to
-    the region Maximizer never has to leave, the inner set grows from the
-    goal through actions that stay in the outer set and make progress."""
-    outer = set(model.states())
+    probability 1 without visiting ``unsafe``.  Standard two-nested
+    fixpoint: the outer set shrinks to the region Maximizer never has to
+    leave, the inner set grows from the goal through actions that stay in
+    the outer set and make progress."""
+    outer = set(model.states()) - unsafe
     while True:
         inner = set(g for g in goal if g in outer)
         grown = True
@@ -297,18 +298,14 @@ def qualitative_reach(
 ) -> tuple[frozenset[int], frozenset[int]]:
     """Graph-based value-1 and value-0 sets for Maximizer reachability.
 
-    Returns (value1, value0).  Unsafe states are excluded from both the
-    goal and every value-1 witness (they are assumed absorbing or are
-    removed from play by the caller's remapping).
+    Returns (value1, value0).  Unsafe states are absorbing misses, whatever
+    their actions: they are never in value1, always in value0, and reach
+    through them counts for nothing.
     """
-    goal = set(goal)
     unsafe = set(unsafe)
-    goal -= unsafe
-    if not goal:
-        return frozenset(), frozenset(model.states()) - frozenset(goal)
-    positive = _positive_reach(model, goal) - unsafe
-    value0 = frozenset(model.states()) - frozenset(positive)
-    value1 = frozenset(_almost_sure_reach(model, goal) - unsafe)
+    goal = set(goal) - unsafe
+    value0 = frozenset(model.states()) - frozenset(_positive_reach(model, goal, unsafe))
+    value1 = frozenset(_almost_sure_reach(model, goal, unsafe))
     return value1, value0
 
 

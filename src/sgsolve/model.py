@@ -10,7 +10,7 @@ together with a remap table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -137,7 +137,6 @@ class GameModel:
     actions: tuple[tuple[Distribution, ...], ...]
     rewards: tuple[float, ...]
     initial: int
-    predecessors: tuple[frozenset[tuple[int, int]], ...] = field(repr=False)
 
     @property
     def num_states(self) -> int:
@@ -165,17 +164,6 @@ class GameModel:
         return sum(
             len(d.support) for dists in self.actions for d in dists
         )
-
-
-def _compute_predecessors(
-    action_lists: Sequence[Sequence[Distribution]],
-) -> tuple[frozenset[tuple[int, int]], ...]:
-    preds: list[set[tuple[int, int]]] = [set() for _ in action_lists]
-    for state, dists in enumerate(action_lists):
-        for action, dist in enumerate(dists):
-            for target, _ in dist.support:
-                preds[target].add((state, action))
-    return tuple(frozenset(p) for p in preds)
 
 
 def build_game(
@@ -220,7 +208,6 @@ def build_game(
         actions=tuple(tuple(dists) for dists in action_lists),
         rewards=tuple(float(r) for r in rewards),
         initial=initial,
-        predecessors=_compute_predecessors(action_lists),
     )
 
 

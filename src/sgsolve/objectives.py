@@ -1,15 +1,18 @@
-"""Objective definitions, bound initialization and the reduction of
-reachability to mean payoff."""
+"""Objective definitions, the query preparation shared by both solvers,
+bound initialization and the reduction of reachability to mean payoff."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, TypeVar
 
 from . import graph
 from .bounds import BoundsVector
 from .model import Distribution, GameModel, build_game
+from .result import SolveResult
+
+Oriented = TypeVar("Oriented", BoundsVector, SolveResult)
 
 
 class LabelMismatch(Exception):
@@ -73,6 +76,67 @@ def _check_labels(model: GameModel, states: frozenset[int]) -> None:
             raise LabelMismatch(f"label refers to unknown state {s}")
 
 
+@dataclass(frozen=True)
+class Query:
+    """A game and objective in the form both solvers work on.
+
+    Safety of the unsafe set U is dualized: the players swap owners and
+    the objective becomes reachability of U, whose value is 1 minus the
+    safety value.  For reachability, goal and avoid states are absorbing.
+    """
+
+    model: GameModel
+    objective: Objective
+    dualized: bool = False
+
+    def orient(self, x: Oriented) -> Oriented:
+        """Map bounds or a result between the caller's objective and the
+        prepared one; the map is its own inverse.  For a dualized query
+        every value v becomes 1 - v, so lower and upper bounds trade
+        places; otherwise ``x`` is returned as is."""
+        if not self.dualized:
+            return x
+        if isinstance(x, BoundsVector):
+            return BoundsVector([1.0 - u for u in x.ub], [1.0 - l for l in x.lb])
+        return replace(
+            x,
+            value=1.0 - x.value,
+            lower=1.0 - x.upper,
+            upper=1.0 - x.lower,
+            bounds=self.orient(x.bounds),
+            stats=dict(x.stats, dualized=True),
+        )
+
+
+def prepare(model: GameModel, objective: Objective) -> Query:
+    """Check the objective's state ids against the model and bring the
+    query into solver form (see ``Query``).  Raises LabelMismatch on an
+    unknown state id, on overlapping goal and avoid sets and on an empty
+    goal or unsafe set.  A mean-payoff query keeps the model as it is."""
+    _check_labels(model, objective.goal)
+    _check_labels(model, objective.avoid)
+    if objective.goal & objective.avoid:
+        raise LabelMismatch("goal and avoid sets overlap")
+    if objective.is_mean_payoff:
+        return Query(model, objective)
+    owners = model.owners
+    dualized = objective.kind is ObjectiveKind.SAFETY
+    if dualized:
+        if not objective.avoid:
+            raise LabelMismatch("safety unsafe set must be non-empty")
+        owners = tuple(o.opponent for o in owners)
+        objective = Objective.reachability(objective.avoid)
+    elif not objective.goal:
+        raise LabelMismatch("reachability goal must be non-empty")
+    absorbing = objective.goal | objective.avoid
+    action_lists = [
+        (Distribution.dirac(s),) if s in absorbing else model.actions[s]
+        for s in model.states()
+    ]
+    prepared = build_game(owners, action_lists, model.rewards, model.initial)
+    return Query(prepared, objective, dualized)
+
+
 def init_bounds(
     model: GameModel,
     objective: Objective,
@@ -80,10 +144,11 @@ def init_bounds(
 ) -> BoundsVector:
     """Safe initial under- and over-approximation of the value.
 
-    Reachability starts at [0, 1] with goal states pinned to 1; when
-    qualitative precomputation is enabled, states that cannot reach the
-    goal at all get their upper bound pinned to 0.  Mean payoff starts at
-    [rmin, rmax].
+    Reachability starts at [0, 1] with goal states pinned to 1 and avoid
+    states to 0; when qualitative precomputation is enabled, states that
+    cannot reach the goal without passing an avoid state get their upper
+    bound pinned to 0, and those from which Maximizer reaches it almost
+    surely their lower bound pinned to 1.  Mean payoff starts at [rmin, rmax].
     """
     n = model.num_states
     if objective.kind is ObjectiveKind.MEAN_PAYOFF:

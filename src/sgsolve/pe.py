@@ -15,11 +15,11 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional
 
-from .bounds import BoundsVector, converged as bounds_converged
+from .bounds import BoundsVector, converged as bounds_converged, midpoint, state_update
 from .ecsolve import MecTracker
 from .graph import mec_decompose
-from .model import Distribution, GameModel, Player, build_game
-from .objectives import LabelMismatch, Objective, ObjectiveKind
+from .model import Distribution, GameModel, Player
+from .objectives import Objective, ObjectiveKind, prepare
 from .result import SolveResult
 
 DEFAULT_MAX_PATHS = 10_000_000
@@ -27,6 +27,8 @@ REVISIT_BUDGET = 2
 COMPONENT_SEARCH_PERIOD = 8
 
 PeInstrument = Callable[[int, GameModel, "PartialState"], None]
+# Per state, the recorded deflation exits: (candidate key, (state, action)).
+Memory = dict[int, list[tuple[tuple, tuple[int, int]]]]
 
 
 class PartialState:
@@ -55,25 +57,6 @@ class PartialState:
 
     def gap(self, state: int) -> float:
         return self.bounds.ub[state] - self.bounds.lb[state]
-
-
-def _swap_owners(model: GameModel) -> GameModel:
-    return build_game(
-        tuple(o.opponent for o in model.owners),
-        model.actions,
-        model.rewards,
-        model.initial,
-    )
-
-
-def _make_absorbing(model: GameModel, states: frozenset[int]) -> GameModel:
-    if not states:
-        return model
-    action_lists = [
-        (Distribution.dirac(s),) if s in states else model.actions[s]
-        for s in model.states()
-    ]
-    return build_game(model.owners, action_lists, model.rewards, model.initial)
 
 
 def _guidance_action(model: GameModel, state: int, bounds: BoundsVector) -> int:
@@ -111,7 +94,7 @@ def _sample_successor(
 def sample_path(
     model: GameModel,
     part: PartialState,
-    memory: dict[int, list[tuple[tuple, tuple[int, int]]]],
+    memory: Memory,
     rng: random.Random,
     epsilon: float,
 ) -> tuple[list[tuple[int, int]], bool]:
@@ -158,32 +141,9 @@ def sample_path(
     return path, looped
 
 
-def _update_state(model: GameModel, bounds: BoundsVector, state: int) -> None:
-    """Guarded Bellman update of both bounds at one state."""
-    maximize = model.owner(state) is Player.MAXIMIZER
-    best_u = None
-    best_l = None
-    for a in range(model.num_actions(state)):
-        support = model.distribution(state, a).support
-        u = sum(p * bounds.ub[t] for t, p in support)
-        l = sum(p * bounds.lb[t] for t, p in support)
-        if best_u is None:
-            best_u, best_l = u, l
-        elif maximize:
-            best_u = max(best_u, u)
-            best_l = max(best_l, l)
-        else:
-            best_u = min(best_u, u)
-            best_l = min(best_l, l)
-    if best_u < bounds.ub[state]:
-        bounds.ub[state] = max(best_u, bounds.lb[state])
-    if best_l > bounds.lb[state]:
-        bounds.lb[state] = min(best_l, bounds.ub[state])
-
-
 def _backpropagate(model: GameModel, part: PartialState, path) -> None:
     for state, _ in reversed(path):
-        _update_state(model, part.bounds, state)
+        state_update(model, part.bounds, state)
 
 
 def _refresh_components(
@@ -191,7 +151,7 @@ def _refresh_components(
     part: PartialState,
     objective: Objective,
     trackers: list[MecTracker],
-    memory: dict[int, list[tuple[tuple, tuple[int, int]]]],
+    memory: Memory,
     use_memory: bool,
 ) -> list[MecTracker]:
     """Re-run MEC search on the explored region; carry over tracker caches
@@ -231,7 +191,7 @@ def _refresh_components(
     # values still propagate to them.
     for _ in range(2):
         for s in sorted(part.explored, reverse=True):
-            _update_state(model, part.bounds, s)
+            state_update(model, part.bounds, s)
     return fresh
 
 
@@ -253,41 +213,13 @@ def solve_pe(
     are already fully deflated and the path budget runs out."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    if objective.kind is ObjectiveKind.SAFETY:
-        inner = solve_pe(
-            _swap_owners(model),
-            Objective.reachability(objective.avoid),
-            epsilon,
-            seed=seed,
-            max_paths=max_paths,
-            use_deflate_memory=use_deflate_memory,
-            instrument=instrument,
-        )
-        return SolveResult(
-            value=1.0 - inner.value,
-            lower=1.0 - inner.upper,
-            upper=1.0 - inner.lower,
-            precision=epsilon,
-            mode="pe",
-            objective="safety",
-            iterations=inner.iterations,
-            states_explored=inner.states_explored,
-            converged=inner.converged,
-            bounds=None,
-            state_map=inner.state_map,
-            stats=dict(inner.stats, dualized=True),
-        )
-
-    work = model
-    if objective.kind is ObjectiveKind.REACHABILITY:
-        if not objective.goal:
-            raise LabelMismatch("reachability goal must be non-empty")
-        work = _make_absorbing(work, objective.goal | objective.avoid)
+    query = prepare(model, objective)
+    work = query.model
 
     rng = random.Random(seed)
-    part = PartialState(work, objective)
+    part = PartialState(work, query.objective)
     part.expand(work.initial)
-    memory: dict[int, tuple[tuple, tuple[int, int]]] = {}
+    memory: Memory = {}
     trackers: list[MecTracker] = []
     paths = 0
     done = False
@@ -297,7 +229,7 @@ def solve_pe(
         _backpropagate(work, part, path)
         if looped or paths % COMPONENT_SEARCH_PERIOD == 0:
             trackers = _refresh_components(
-                work, part, objective, trackers, memory, use_deflate_memory
+                work, part, query.objective, trackers, memory, use_deflate_memory
             )
             _backpropagate(work, part, path)
         if instrument is not None:
@@ -305,8 +237,8 @@ def solve_pe(
         done = bounds_converged(part.bounds, work.initial, epsilon)
 
     bounds = part.bounds
-    return SolveResult(
-        value=0.5 * (bounds.lb[work.initial] + bounds.ub[work.initial]),
+    return query.orient(SolveResult(
+        value=midpoint(bounds, work.initial),
         lower=bounds.lb[work.initial],
         upper=bounds.ub[work.initial],
         precision=epsilon,
@@ -318,4 +250,4 @@ def solve_pe(
         bounds=bounds,
         state_map=tuple(range(model.num_states)),
         stats={"seed": seed},
-    )
+    ))

@@ -16,7 +16,10 @@ class SolveResult:
     state, whether or not the run converged within its budget; ``value``
     is their midpoint.  ``bounds`` and ``state_map`` expose the final
     per-state bounds of the internal working model: ``state_map[s]`` is
-    the working-model id of original state ``s``.
+    the working-model id of original state ``s``.  Both solvers always
+    set ``bounds``, oriented like the caller's objective: for safety they
+    bound the safety value, so ``bounds.lb[state_map[initial]] == lower``,
+    and ``stats["dualized"]`` is True.
     """
 
     value: float
@@ -28,8 +31,8 @@ class SolveResult:
     iterations: int
     states_explored: int
     converged: bool
-    bounds: Optional[BoundsVector] = None
-    state_map: Optional[tuple[int, ...]] = None
+    bounds: BoundsVector
+    state_map: tuple[int, ...]
     stats: dict = field(default_factory=dict)
 
     def to_json_dict(self, time_ms: float, seed: Optional[int]) -> dict:

@@ -1,11 +1,10 @@
-"""Bound vectors, the Bellman operator and action selection."""
+"""Bound vectors, the guarded Bellman update and action selection."""
 
 import pytest
 
 from conftest import MAX, MIN, loop_exit_model, split_value_mec_model
 from sgsolve.bounds import (
     BoundsVector,
-    bellman,
     converged,
     extract_strategy,
     midpoint,
@@ -25,19 +24,24 @@ def test_bounds_vector_basics():
 
 def test_state_update_maximizer_picks_best():
     m = loop_exit_model()
-    assert state_update(m, [9.0, 1.0], 1) == 9.0
+    bounds = BoundsVector([9.0, 1.0], [9.0, 10.0])
+    state_update(m, bounds, 1)
+    assert bounds.lb[1] == 9.0
 
 
 def test_state_update_minimizer_picks_worst():
     m = split_value_mec_model()
-    assert state_update(m, [10.0, 0.0], 1) == 0.0
+    bounds = BoundsVector([0.0, 0.0], [0.0, 10.0])
+    state_update(m, bounds, 1)
+    assert bounds.ub[1] == 0.0
 
 
-def test_bellman_full_and_scoped():
+def test_state_update_never_crosses_the_other_bound():
     m = loop_exit_model()
-    x = [5.0, 0.0]
-    assert bellman(m, x) == [5.0, 5.0]
-    assert bellman(m, x, scope=[0]) == [5.0, 0.0]
+    bounds = BoundsVector([5.0, 2.0], [5.0, 3.0])
+    state_update(m, bounds, 1)
+    assert bounds.lb[1] == 3.0
+    assert bounds.ub[1] == 3.0
 
 
 def test_optimal_actions_exact_ties():

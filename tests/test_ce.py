@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import random_game, random_objective, split_value_mec_model
+from conftest import chain_model, random_game, random_objective, split_value_mec_model
 from sgsolve.bounds import BoundsVector
 from sgsolve.ce import solve_ce
 from sgsolve.generators import fig1_left, fig1_right, fig2_chain, generate
@@ -130,6 +130,37 @@ def test_empty_goal_rejected():
     model, _ = fig1_left()
     with pytest.raises(LabelMismatch):
         solve_ce(model, Objective.reachability(set()))
+
+
+@pytest.mark.parametrize(
+    "objective", [Objective.reachability({99}), Objective.safety({99})]
+)
+def test_unknown_state_rejected(objective):
+    model, _ = fig1_left()
+    with pytest.raises(LabelMismatch):
+        solve_ce(model, objective)
+
+
+def test_safety_bounds_in_safety_orientation(rng):
+    for model, _, _ in oracle_instances(rng, 5):
+        result = solve_ce(model, Objective.safety({0}))
+        start = result.state_map[model.initial]
+        assert result.bounds.lb[start] == result.lower
+        assert result.bounds.ub[start] == result.upper
+        assert result.stats["dualized"] is True
+
+
+def test_safety_initial_bounds_are_safety_bounds(rng):
+    # Every state of the chain surely reaches the unsafe state 2.
+    model = chain_model()
+    objective = Objective.safety({2})
+    result = solve_ce(model, objective, initial_bounds=BoundsVector([0.0] * 3, [0.0] * 3))
+    assert result.lower <= game_value_bruteforce(model, objective, model.initial) <= result.upper
+    for model, _, _ in oracle_instances(rng, 5):
+        objective = Objective.safety({0})
+        values = game_value_bruteforce(model, objective)
+        result = solve_ce(model, objective, initial_bounds=BoundsVector(values, values))
+        assert result.lower - 1e-12 <= values[model.initial] <= result.upper + 1e-12
 
 
 def test_bad_epsilon_rejected():

@@ -104,6 +104,14 @@ def test_unknown_label(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["ce", "pe"])
+def test_unknown_state_id(capsys, mode):
+    code = run(["--generate", "fig2chain", "--param", "k=2",
+                "--objective", "reach", "--goal", "99", "--mode", mode])
+    assert code == 1
+    assert "unknown state 99" in capsys.readouterr().err
+
+
 def test_reach_requires_goal(capsys):
     with pytest.raises(SystemExit):
         run(["--generate", "fig1left", "--objective", "reach"])

@@ -59,11 +59,6 @@ class TestBuildGame:
         assert m.reward_range() == (0.0, 1.0)
         assert m.num_transitions() == 3
 
-    def test_predecessors(self):
-        m = chain_model()
-        assert m.predecessors[1] == frozenset({(0, 0)})
-        assert m.predecessors[2] == frozenset({(1, 0), (2, 0)})
-
     def test_empty_action_set(self):
         with pytest.raises(EmptyActionSet):
             build_game([MAX, MAX], [(dirac(0),), ()], [0.0, 0.0], 0)

@@ -1,15 +1,17 @@
-"""Objective construction, bound initialization and the reachability to
-mean-payoff reduction."""
+"""Objective construction, query preparation, bound initialization and
+the reachability to mean-payoff reduction."""
 
 import pytest
 
-from conftest import chain_model, loop_exit_model
+from conftest import MAX, MIN, chain_model, loop_exit_model
+from sgsolve.bounds import BoundsVector
 from sgsolve.graph import mec_decompose
 from sgsolve.objectives import (
     LabelMismatch,
     Objective,
     ObjectiveKind,
     init_bounds,
+    prepare,
     reach_as_meanpayoff,
 )
 
@@ -71,10 +73,70 @@ class TestInitBounds:
         with pytest.raises(LabelMismatch):
             init_bounds(m, Objective.reachability({17}))
 
+    def test_avoid_state_blocks_qualitative_reach(self):
+        # 0 -> 1 (avoid) -> 2 (goal): the only path to the goal passes
+        # through the avoid state, so state 0 has value 0, not 1.
+        m = chain_model()
+        bounds = init_bounds(m, Objective.reachability({2}, avoid={1}))
+        assert bounds.lb[0] == 0.0
+        assert bounds.ub[0] == 0.0
+
     def test_safety_bounds_need_dualization(self):
         m = chain_model()
         with pytest.raises(LabelMismatch):
             init_bounds(m, Objective.safety({0}))
+
+
+class TestPrepare:
+    def test_mean_payoff_keeps_the_model(self):
+        m = loop_exit_model()
+        objective = Objective.mean_payoff(m)
+        query = prepare(m, objective)
+        assert query.model is m
+        assert query.objective is objective
+        assert not query.dualized
+
+    def test_reachability_makes_goal_and_avoid_absorbing(self):
+        m = chain_model()
+        query = prepare(m, Objective.reachability({1}, avoid={0}))
+        assert query.model.is_absorbing(0) and query.model.is_absorbing(1)
+        assert query.model.owners == m.owners
+        assert not query.dualized
+
+    def test_safety_is_dualized(self):
+        m = loop_exit_model()
+        query = prepare(m, Objective.safety({0}))
+        assert query.dualized
+        assert query.objective == Objective.reachability({0})
+        assert query.model.owners == (MIN, MIN)
+        assert query.model.is_absorbing(0)
+        assert query.model.actions[1] == m.actions[1]
+
+    @pytest.mark.parametrize(
+        "objective",
+        [
+            Objective.reachability({99}),
+            Objective.reachability({2}, avoid={-1}),
+            Objective.safety({3}),
+            Objective.reachability(set()),
+            Objective.safety(set()),
+            Objective(ObjectiveKind.REACHABILITY, goal=frozenset({2}), avoid=frozenset({2})),
+        ],
+    )
+    def test_bad_labels_rejected(self, objective):
+        with pytest.raises(LabelMismatch):
+            prepare(chain_model(), objective)
+
+    def test_orient_flips_bounds_of_a_dual_query(self):
+        query = prepare(chain_model(), Objective.safety({2}))
+        flipped = query.orient(BoundsVector([0.0, 0.25], [0.5, 1.0]))
+        assert flipped.lb == [0.5, 0.0]
+        assert flipped.ub == [1.0, 0.75]
+
+    def test_orient_is_identity_otherwise(self):
+        query = prepare(chain_model(), Objective.reachability({2}))
+        bounds = BoundsVector([0.0], [1.0])
+        assert query.orient(bounds) is bounds
 
 
 class TestReachAsMeanPayoff:

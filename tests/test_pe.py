@@ -137,6 +137,24 @@ def test_empty_goal_rejected():
         solve_pe(model, Objective.reachability(set()))
 
 
+@pytest.mark.parametrize(
+    "objective", [Objective.reachability({99}), Objective.safety({99})]
+)
+def test_unknown_state_rejected(objective):
+    model, _ = fig1_left()
+    with pytest.raises(LabelMismatch):
+        solve_pe(model, objective)
+
+
+def test_safety_bounds_in_safety_orientation(rng):
+    for model, _, _ in oracle_instances(rng, 5):
+        result = solve_pe(model, Objective.safety({0}))
+        start = result.state_map[model.initial]
+        assert result.bounds.lb[start] == result.lower
+        assert result.bounds.ub[start] == result.upper
+        assert result.stats["dualized"] is True
+
+
 def test_bad_epsilon_rejected():
     model, _ = fig1_left()
     with pytest.raises(ValueError):
