@@ -105,7 +105,7 @@ def extract_strategy(model: GameModel, bounds: BoundsVector, player: Player) -> 
 
 def converged(bounds: BoundsVector, state: int, epsilon: float) -> bool:
     """Whether the midpoint of the bounds is an epsilon-precise value."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     return bounds.ub[state] - bounds.lb[state] < 2.0 * epsilon
 

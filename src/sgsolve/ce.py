@@ -113,7 +113,7 @@ def solve_ce(
     original state numbering and the caller's orientation, and required to
     be sound); ``enable_deflation`` and ``enable_collapse`` exist to study
     the untreated fixpoint behaviour and disable end-component handling."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     query = prepare(model, objective)
     work = query.model

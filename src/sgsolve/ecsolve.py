@@ -302,8 +302,8 @@ class MecTracker:
     """Per-game-MEC bookkeeping: recommender signatures, cached candidate
     sets, cached staying-value iterations and the refinement precision.
 
-    The tracker is marked stale when an optimal action inside the MEC may
-    have changed; processing then re-derives the candidate sets.  When a
+    Processing re-derives the candidate sets only when the recommender
+    signature (the optimal actions inside the MEC) has changed.  When a
     tracker is re-processed and its candidates are unchanged, the staying
     precision is halved so the bracket keeps tightening.
     """
@@ -311,7 +311,6 @@ class MecTracker:
     def __init__(self, mec: EndComponent, objective: Objective):
         self.mec = mec
         self.objective = objective
-        self.stale = True
         width = objective.value_ceiling() - objective.value_floor()
         self.precision = max(width / 8.0, 1e-15)
         self.staying_cache: dict = {}
@@ -339,13 +338,17 @@ class MecTracker:
         signature = self._recommender_signature(model, bounds)
         if self.candidates is not None and signature == self._signature:
             self.precision = max(self.precision / 2.0, 1e-15)
-            self.stale = False
             return
         optimal_lb = {s: on_lb for s, on_lb, _ in signature}
         optimal_ub = {s: on_ub for s, _, on_ub in signature}
-        # Also fix the opponent to a single optimal action: the restricted
-        # system is then an MDP, whose staying-value iteration converges
-        # where the tie-keeping restriction (still a game) may oscillate.
+        # Each of the four opponent restrictions yields candidates that the
+        # other three miss, on random oracle games and on treebigmec alike:
+        # all upper-bound optimal actions, the reference of deflation; all
+        # lower-bound optimal actions, the reference of inflation, which also
+        # becomes reliable at a different stage of convergence; and a single
+        # optimal action under either bound, which makes the restricted
+        # system an MDP whose staying-value iteration converges where the
+        # tie-keeping restriction (still a game) may oscillate.
         single_lb = {s: acts[:1] for s, acts in optimal_lb.items()}
         single_ub = {s: acts[:1] for s, acts in optimal_ub.items()}
         new = {}
@@ -370,7 +373,6 @@ class MecTracker:
                 }
         self.candidates = new
         self._signature = signature
-        self.stale = False
 
     def process(self, model: GameModel, bounds: BoundsVector) -> list[DeflateRecord]:
         """Refresh candidates if needed, then de-/inflate all of them.

@@ -23,6 +23,7 @@ the round trip is bit-exact.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Optional, TextIO
 
@@ -60,12 +61,6 @@ class _Lines:
             if stripped:
                 return number, stripped
         return None
-
-    def peek(self) -> Optional[tuple[int, str]]:
-        saved = self.pos
-        item = self.next()
-        self.pos = saved
-        return item
 
 
 def _fail(line: int, message: str, column: int = 1):
@@ -147,7 +142,10 @@ def parse(text: str) -> tuple[GameModel, dict[str, frozenset[int]]]:
             if not parts[3].startswith("reward="):
                 _fail(number, "expected reward=<value>")
             owners[sid] = _OWNER_NAMES[parts[2]]
-            rewards[sid] = _expect_float(parts[3][len("reward="):], number, "reward")
+            reward = _expect_float(parts[3][len("reward="):], number, "reward")
+            if not math.isfinite(reward):
+                _fail(number, f"reward must be finite, got {reward!r}")
+            rewards[sid] = reward
             current = sid
         elif keyword == "action":
             if current is None:
@@ -163,8 +161,8 @@ def parse(text: str) -> tuple[GameModel, dict[str, frozenset[int]]]:
                 if not 0 <= target < num_states:
                     _fail(number, f"target state {target} out of range")
                 prob = _expect_float(prob_text, number, "probability")
-                if prob <= 0.0:
-                    _fail(number, f"probability must be positive, got {prob!r}")
+                if not 0.0 < prob < math.inf:
+                    _fail(number, f"probability must be positive and finite, got {prob!r}")
                 pairs.append((target, prob))
             action_lists[current].append(Distribution.of(pairs))
         elif keyword == "label":

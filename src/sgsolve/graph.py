@@ -89,8 +89,6 @@ def scc_decompose(
             v, successors = work[-1]
             advanced = False
             for w in successors:
-                if restrict is not None and w not in restrict:
-                    continue
                 if w not in index:
                     index[w] = lowlink[w] = counter
                     counter += 1
@@ -179,7 +177,6 @@ def mec_decompose(
                 mecs.append(EndComponent.of(comp, {s: pruned[s] for s in comp}))
             continue
         for comp in components:
-            comp_set = set(comp)
             sub = {s: pruned[s] for s in comp if s in pruned}
             if sub:
                 worklist.append(sub)
@@ -201,6 +198,36 @@ def _has_internal_action(model: GameModel, state: int, actions: Sequence[int]) -
     )
 
 
+def _predecessors(model: GameModel) -> list[set[int]]:
+    """For every state, the states with an action that may move to it."""
+    preds: list[set[int]] = [set() for _ in model.states()]
+    for s in model.states():
+        for d in model.actions[s]:
+            for t, _ in d.support:
+                preds[t].add(s)
+    return preds
+
+
+def _closure(preds: Sequence[set[int]], seed: Iterable[int], joins: Callable) -> set[int]:
+    """Least superset of ``seed`` closed under ``joins(s, inside)``, which must
+    be monotone in ``inside`` and read only the successors of ``s``: a state
+    is re-checked only when one of its successors has just joined."""
+    inside = set(seed)
+    frontier = list(inside)
+    while frontier:
+        for s in preds[frontier.pop()]:
+            if s not in inside and joins(s, inside):
+                inside.add(s)
+                frontier.append(s)
+    return inside
+
+
+def _chooses(model: GameModel, state: int, player: Optional[Player], good: Callable) -> bool:
+    """Some action's support is ``good`` if ``player`` owns ``state``; else every one."""
+    quantifier = any if model.owner(state) is player else all
+    return quantifier(good(d.support) for d in model.actions[state])
+
+
 def attractor(
     model: GameModel,
     target: Iterable[int],
@@ -217,78 +244,11 @@ def attractor(
     target = set(target)
     if not target:
         raise ValueError("attractor target must be non-empty")
-    inside = set(target)
-    changed = True
-    while changed:
-        changed = False
-        for s in model.states():
-            if s in inside:
-                continue
-            dists = model.actions[s]
-            sure = [all(t in inside for t, _ in d.support) for d in dists]
-            if player is not None and model.owner(s) is player:
-                ok = any(sure)
-            else:
-                ok = all(sure)
-            if ok:
-                inside.add(s)
-                changed = True
-    return frozenset(inside)
 
+    def sure(s: int, inside: set[int]) -> bool:
+        return _chooses(model, s, player, lambda sup: all(t in inside for t, _ in sup))
 
-def _positive_reach(model: GameModel, goal: set[int], unsafe: set[int]) -> set[int]:
-    """States from which Maximizer can reach ``goal`` with positive
-    probability against every Minimizer strategy, never through ``unsafe``."""
-    reach = set(goal)
-    changed = True
-    while changed:
-        changed = False
-        for s in model.states():
-            if s in reach or s in unsafe:
-                continue
-            hits = [
-                any(t in reach for t, _ in d.support) for d in model.actions[s]
-            ]
-            if model.owner(s) is Player.MAXIMIZER:
-                ok = any(hits)
-            else:
-                ok = all(hits)
-            if ok:
-                reach.add(s)
-                changed = True
-    return reach
-
-
-def _almost_sure_reach(model: GameModel, goal: set[int], unsafe: set[int]) -> set[int]:
-    """States from which Maximizer can force reaching ``goal`` with
-    probability 1 without visiting ``unsafe``.  Standard two-nested
-    fixpoint: the outer set shrinks to the region Maximizer never has to
-    leave, the inner set grows from the goal through actions that stay in
-    the outer set and make progress."""
-    outer = set(model.states()) - unsafe
-    while True:
-        inner = set(g for g in goal if g in outer)
-        grown = True
-        while grown:
-            grown = False
-            for s in sorted(outer):
-                if s in inner:
-                    continue
-                good = [
-                    all(t in outer for t, _ in d.support)
-                    and any(t in inner for t, _ in d.support)
-                    for d in model.actions[s]
-                ]
-                if model.owner(s) is Player.MAXIMIZER:
-                    ok = any(good)
-                else:
-                    ok = all(good)
-                if ok:
-                    inner.add(s)
-                    grown = True
-        if inner == outer:
-            return inner
-        outer = inner
+    return frozenset(_closure(_predecessors(model), target, sure))
 
 
 def qualitative_reach(
@@ -304,9 +264,29 @@ def qualitative_reach(
     """
     unsafe = set(unsafe)
     goal = set(goal) - unsafe
-    value0 = frozenset(model.states()) - frozenset(_positive_reach(model, goal, unsafe))
-    value1 = frozenset(_almost_sure_reach(model, goal, unsafe))
-    return value1, value0
+    preds = _predecessors(model)
+
+    # Value 0 is the complement of positive reach: the goal is hit with
+    # positive probability against every Minimizer strategy.
+    def positive(s: int, inside: set[int]) -> bool:
+        return s not in unsafe and _chooses(
+            model, s, Player.MAXIMIZER, lambda sup: any(t in inside for t, _ in sup)
+        )
+
+    # Value 1 is a two-nested fixpoint: the outer set shrinks to the region
+    # Maximizer never has to leave, the inner set grows from the goal
+    # through actions that stay in the outer set and make progress.
+    def progress(s: int, inner: set[int]) -> bool:
+        def good(sup) -> bool:
+            return all(t in outer for t, _ in sup) and any(t in inner for t, _ in sup)
+
+        return s in outer and _chooses(model, s, Player.MAXIMIZER, good)
+
+    outer = set(model.states()) - unsafe
+    while (inner := _closure(preds, goal & outer, progress)) != outer:
+        outer = inner
+    value0 = frozenset(model.states()) - frozenset(_closure(preds, goal, positive))
+    return frozenset(outer), value0
 
 
 def controlled_ec(model: GameModel, ec: EndComponent) -> Optional[Player]:

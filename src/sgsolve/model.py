@@ -10,6 +10,7 @@ together with a remap table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
@@ -174,8 +175,9 @@ def build_game(
 ) -> GameModel:
     """Validate the raw ingredients and assemble a GameModel.
 
-    Raises EmptyActionSet, DistributionSumError or DanglingTarget on the
-    first violation encountered.
+    Raises EmptyActionSet, DistributionSumError, DanglingTarget or
+    ModelError (for instance on a NaN probability or a non-finite reward)
+    on the first violation encountered.
     """
     n = len(owners)
     if not (n >= 1 and len(action_lists) == n and len(rewards) == n):
@@ -183,6 +185,8 @@ def build_game(
     if not 0 <= initial < n:
         raise ModelError(f"initial state {initial} out of range")
     for state, dists in enumerate(action_lists):
+        if not math.isfinite(rewards[state]):
+            raise ModelError(f"non-finite reward {rewards[state]!r} at state {state}")
         if len(dists) == 0:
             raise EmptyActionSet(state)
         for action, dist in enumerate(dists):
@@ -198,7 +202,7 @@ def build_game(
                         f"distribution of state {state}, action {action} "
                         "has unsorted or duplicate targets"
                     )
-                if prob <= 0.0:
+                if not prob > 0.0:
                     raise ModelError(
                         f"non-positive probability at state {state}, action {action}"
                     )

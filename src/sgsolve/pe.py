@@ -211,7 +211,7 @@ def solve_pe(
     ``use_deflate_memory`` disables the jump-to-recorded-exit fix; without
     it, simulations can keep looping inside an end component whose bounds
     are already fully deflated and the path budget runs out."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     query = prepare(model, objective)
     work = query.model

@@ -78,6 +78,8 @@ def test_converged_rejects_bad_epsilon():
     b = BoundsVector([0.0], [1.0])
     with pytest.raises(ValueError):
         converged(b, 0, 0.0)
+    with pytest.raises(ValueError):
+        converged(b, 0, float("nan"))
 
 
 def test_midpoint():

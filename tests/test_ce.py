@@ -167,6 +167,8 @@ def test_bad_epsilon_rejected():
     model, _ = fig1_left()
     with pytest.raises(ValueError):
         solve_ce(model, Objective.mean_payoff(model), epsilon=0.0)
+    with pytest.raises(ValueError):
+        solve_ce(model, Objective.mean_payoff(model), epsilon=float("nan"), max_sweeps=10)
 
 
 def test_state_map_tracks_collapsing():

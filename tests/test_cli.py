@@ -84,6 +84,25 @@ def test_model_file(tmp_path, capsys):
     assert doc["value"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_non_finite_reward_is_input_error(tmp_path, capsys):
+    path = tmp_path / "inf.sg"
+    path.write_text(
+        "sg-explicit 1\nstates 1\ninitial 0\nstate 0 MAX reward=inf\n"
+        "action -> 0:1.0\n"
+    )
+    code = run(["--model", str(path), "--objective", "mean-payoff", "--mode", "ce",
+                "--max-iterations", "10"])
+    assert code == 1
+    assert "reward must be finite" in capsys.readouterr().err
+
+
+def test_nan_precision_is_usage_error(capsys):
+    code = run(["--generate", "fig2chain", "--param", "k=2", "--goal", "goal",
+                "--mode", "ce", "--precision", "nan", "--max-iterations", "10"])
+    assert code == 1
+    assert "epsilon must be positive" in capsys.readouterr().err
+
+
 def test_missing_file_is_usage_error(capsys):
     code = run(["--model", "/nonexistent.sg", "--objective", "mean-payoff"])
     assert code == 1

@@ -76,6 +76,24 @@ def test_round_trip_is_identity_on_random_games(seed):
         ),
         (
             "sg-explicit 1\nstates 1\ninitial 0\nstate 0 MAX reward=0\n"
+            "action -> 0:nan\n",
+            "probability must be positive and finite",
+        ),
+        (
+            "sg-explicit 1\nstates 1\ninitial 0\nstate 0 MAX reward=0\n"
+            "action -> 0:inf\n",
+            "probability must be positive and finite",
+        ),
+        (
+            "sg-explicit 1\nstates 1\ninitial 0\nstate 0 MAX reward=nan\n",
+            "reward must be finite",
+        ),
+        (
+            "sg-explicit 1\nstates 1\ninitial 0\nstate 0 MAX reward=inf\n",
+            "reward must be finite",
+        ),
+        (
+            "sg-explicit 1\nstates 1\ninitial 0\nstate 0 MAX reward=0\n"
             "action -> 5:1.0\n",
             "target state 5 out of range",
         ),

@@ -16,6 +16,8 @@ from sgsolve.graph import (
     scc_decompose,
 )
 from sgsolve.model import build_game
+from sgsolve.objectives import Objective
+from sgsolve.oracle import SingularSystem, TooLarge, game_value_bruteforce
 
 
 def cycle_model():
@@ -169,6 +171,22 @@ class TestQualitativeReach:
         )
         value1, _ = qualitative_reach(m, {1})
         assert 0 in value1
+
+    def test_matches_oracle_values_on_random_games(self, rng):
+        checked = 0
+        while checked < 150:
+            model = random_game(rng)
+            picked = rng.sample(range(model.num_states), rng.randint(1, model.num_states))
+            cut = rng.randint(1, len(picked))
+            goal, avoid = frozenset(picked[:cut]), frozenset(picked[cut:])
+            try:
+                values = game_value_bruteforce(model, Objective.reachability(goal, avoid))
+            except (TooLarge, SingularSystem):
+                continue
+            checked += 1
+            value1, value0 = qualitative_reach(model, goal, avoid)
+            assert value1 == {s for s, v in enumerate(values) if v >= 1 - 1e-9}
+            assert value0 == {s for s, v in enumerate(values) if v <= 1e-9}
 
 
 class TestControlledEc:

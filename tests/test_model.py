@@ -90,6 +90,18 @@ class TestBuildGame:
         with pytest.raises(ModelError):
             build_game([MAX, MAX], [(bad,), (dirac(1),)], [0.0, 0.0], 0)
 
+    def test_nan_probability_rejected(self):
+        # Every comparison with NaN is false, so neither a `<= 0` test nor
+        # the sum check would catch it.
+        bad = Distribution(((0, float("nan")), (1, 1.0)))
+        with pytest.raises(ModelError):
+            build_game([MAX, MAX], [(bad,), (dirac(1),)], [0.0, 0.0], 0)
+
+    @pytest.mark.parametrize("reward", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_reward_rejected(self, reward):
+        with pytest.raises(ModelError, match="non-finite reward"):
+            build_game([MAX, MAX], [(dirac(1),), (dirac(1),)], [0.0, reward], 0)
+
 
 class TestCollapse:
     def test_merge_chain_prefix(self):

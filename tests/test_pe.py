@@ -159,3 +159,5 @@ def test_bad_epsilon_rejected():
     model, _ = fig1_left()
     with pytest.raises(ValueError):
         solve_pe(model, Objective.mean_payoff(model), epsilon=-1.0)
+    with pytest.raises(ValueError):
+        solve_pe(model, Objective.mean_payoff(model), epsilon=float("nan"), max_paths=10)
