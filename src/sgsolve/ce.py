@@ -1,6 +1,7 @@
 """Complete-exploration solver: Gauss-Seidel interval iteration over the
-whole game, with qualitative precomputation, controlled-EC collapsing and
-deflate/inflate handling of end components."""
+whole game, with qualitative precomputation (a reachability query's
+value-1 and value-0 regions are merged into one state each) and
+deflate/inflate handling of every end component."""
 
 from __future__ import annotations
 
@@ -8,8 +9,8 @@ from typing import Callable, Optional
 
 from .bounds import BoundsVector, converged, midpoint, state_update
 from .ecsolve import MecTracker
-from .graph import controlled_ec, mec_decompose
-from .model import GameModel, Player, collapse
+from .graph import mec_decompose
+from .model import GameModel, collapse
 from .objectives import Objective, ObjectiveKind, init_bounds, prepare
 from .result import SolveResult
 
@@ -32,67 +33,6 @@ def _merge_bounds(bounds: BoundsVector, cmap, new_n: int) -> BoundsVector:
     return BoundsVector(lb, ub)
 
 
-def _collapse_controlled(
-    model: GameModel,
-    objective: Objective,
-    protected: frozenset[int],
-) -> tuple[GameModel, Optional[object]]:
-    """Merge controlled ECs (ECs in which the non-controlling player has
-    no choice anywhere) into single representatives.
-
-    For mean payoff only uniform-reward ECs qualify; the representative
-    keeps an explicit self-loop so staying remains an option with the
-    member reward.  For reachability only Maximizer-controlled ECs
-    disjoint from goal and avoid are merged (Minimizer-controlled ones
-    without the goal are part of the value-0 region handled elsewhere)."""
-    decomposition = mec_decompose(model)
-    sets, exits_list, owners, rewards, stays = [], [], [], [], set()
-    for mec in decomposition.mecs:
-        if len(mec.states) < 2 or mec.states & protected:
-            continue
-        controller = _collapsible_controller(model, mec, objective)
-        if controller is None:
-            continue
-        exits = [
-            (s, a)
-            for s in sorted(mec.states)
-            for a in range(model.num_actions(s))
-            if model.owner(s) is controller
-            and any(t not in mec.states for t, _ in model.distribution(s, a).support)
-        ]
-        idx = len(sets)
-        sets.append(mec.states)
-        exits_list.append(exits)
-        owners.append(controller)
-        if objective.is_mean_payoff:
-            rewards.append(model.rewards[min(mec.states)])
-            stays.add(idx)
-        else:
-            rewards.append(None)
-            stays.add(idx)  # staying is a real (value 0) option
-    if not sets:
-        return model, None
-    collapsed, cmap = collapse(
-        model, sets, exits_list,
-        rep_owners=owners, rep_rewards=rewards, stay_loops=stays,
-    )
-    return collapsed, cmap
-
-
-def _collapsible_controller(model, mec, objective):
-    controller = controlled_ec(model, mec)
-    if controller is None:
-        return None
-    if objective.is_mean_payoff:
-        member_rewards = {model.rewards[s] for s in mec.states}
-        if len(member_rewards) != 1:
-            return None
-        return controller
-    if controller is Player.MAXIMIZER:
-        return controller
-    return None
-
-
 def solve_ce(
     model: GameModel,
     objective: Objective,
@@ -111,10 +51,23 @@ def solve_ce(
 
     ``initial_bounds`` overrides the default initialization (given in the
     original state numbering and the caller's orientation, and required to
-    be sound); ``enable_deflation`` and ``enable_collapse`` exist to study
-    the untreated fixpoint behaviour and disable end-component handling."""
+    be sound); a vector without one entry per state, or with an entry that
+    is NaN or has ``lb > ub``, raises ValueError.  ``enable_deflation``
+    switches the deflate/inflate handling of end components and
+    ``enable_collapse`` the merge of the value-1 and the value-0 region of
+    a reachability query; both exist to study the untreated fixpoint
+    behaviour."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    if initial_bounds is not None:
+        lb, ub = initial_bounds.lb, initial_bounds.ub
+        if not len(lb) == len(ub) == model.num_states:
+            raise ValueError(f"initial bounds need {model.num_states} entries")
+        for s in model.states():
+            if not lb[s] <= ub[s]:
+                raise ValueError(
+                    f"initial bounds of state {s} are not an interval: [{lb[s]}, {ub[s]}]"
+                )
     query = prepare(model, objective)
     work = query.model
     mapping = list(range(model.num_states))
@@ -133,14 +86,6 @@ def solve_ce(
         sets = [pinned for pinned in (pinned_one, pinned_zero) if len(pinned) > 1]
         if sets:
             work, cmap = collapse(work, sets, [[] for _ in sets])
-            mapping = [cmap(m) for m in mapping]
-            pinned_one = frozenset(cmap(s) for s in pinned_one)
-            pinned_zero = frozenset(cmap(s) for s in pinned_zero)
-            bounds = _merge_bounds(bounds, cmap, work.num_states)
-        protected = pinned_one | pinned_zero
-        work2, cmap = _collapse_controlled(work, query.objective, protected)
-        if cmap is not None:
-            work = work2
             mapping = [cmap(m) for m in mapping]
             pinned_one = frozenset(cmap(s) for s in pinned_one)
             pinned_zero = frozenset(cmap(s) for s in pinned_zero)

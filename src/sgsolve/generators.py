@@ -221,8 +221,8 @@ def tree_mul_compl_mec(n: int = 1) -> Generated:
     Each leaf has a Maximizer hub choosing between a two-state and a
     three-state cycle (all other gadget states are choiceless Minimizer
     states); the leaf value is the better cycle average.  The gadgets are
-    controlled end components with non-uniform rewards, so they are left
-    to the staying-value machinery rather than collapsed."""
+    controlled end components with non-uniform rewards; their values come
+    from the staying-value machinery."""
     _require(n >= 1, "n must be >= 1")
     b = _Builder()
     entries = []

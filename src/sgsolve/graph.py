@@ -40,7 +40,6 @@ class EndComponent:
 @dataclass(frozen=True)
 class MecDecomposition:
     mecs: tuple[EndComponent, ...]
-    membership: tuple[Optional[int], ...]  # state -> MEC index or None
 
 
 def _edges(
@@ -184,11 +183,7 @@ def mec_decompose(
         # forever; they are filtered by the pruning step above (their
         # actions leave the singleton), so the loop terminates.
     mecs.sort(key=lambda ec: min(ec.states))
-    membership: list[Optional[int]] = [None] * model.num_states
-    for i, ec in enumerate(mecs):
-        for s in ec.states:
-            membership[s] = i
-    return MecDecomposition(tuple(mecs), tuple(membership))
+    return MecDecomposition(tuple(mecs))
 
 
 def _has_internal_action(model: GameModel, state: int, actions: Sequence[int]) -> bool:
@@ -196,6 +191,12 @@ def _has_internal_action(model: GameModel, state: int, actions: Sequence[int]) -
         all(t == state for t, _ in model.distribution(state, a).support)
         for a in actions
     )
+
+
+def _check_ids(model: GameModel, states: Iterable[int]) -> None:
+    for s in states:
+        if not 0 <= s < model.num_states:
+            raise ValueError(f"unknown state id {s}")
 
 
 def _predecessors(model: GameModel) -> list[set[int]]:
@@ -239,11 +240,13 @@ def attractor(
     support already lies in the attractor suffices) while the opponent is
     universally quantified; with ``player`` None ("sure" mode) all actions
     of every state must lead into the attractor.  Probabilistic branching
-    is treated as universal: the entire support must be inside.
+    is treated as universal: the entire support must be inside.  Raises
+    ValueError on an empty target and on a state id the model lacks.
     """
     target = set(target)
     if not target:
         raise ValueError("attractor target must be non-empty")
+    _check_ids(model, target)
 
     def sure(s: int, inside: set[int]) -> bool:
         return _chooses(model, s, player, lambda sup: all(t in inside for t, _ in sup))
@@ -260,10 +263,13 @@ def qualitative_reach(
 
     Returns (value1, value0).  Unsafe states are absorbing misses, whatever
     their actions: they are never in value1, always in value0, and reach
-    through them counts for nothing.
+    through them counts for nothing.  Raises ValueError on a goal or
+    unsafe id the model lacks.
     """
     unsafe = set(unsafe)
-    goal = set(goal) - unsafe
+    goal = set(goal)
+    _check_ids(model, goal | unsafe)
+    goal -= unsafe
     preds = _predecessors(model)
 
     # Value 0 is the complement of positive reach: the goal is hit with
@@ -287,29 +293,3 @@ def qualitative_reach(
         outer = inner
     value0 = frozenset(model.states()) - frozenset(_closure(preds, goal, positive))
     return frozenset(outer), value0
-
-
-def controlled_ec(model: GameModel, ec: EndComponent) -> Optional[Player]:
-    """The player controlling the EC, if the other player has no choice.
-
-    Returns the player P when every state of P's opponent inside the EC
-    has exactly one available action.  In an EC where nobody has a choice
-    the owner of the smallest state is reported.
-    """
-    max_trivial = all(
-        model.num_actions(s) == 1
-        for s in ec.states
-        if model.owner(s) is Player.MAXIMIZER
-    )
-    min_trivial = all(
-        model.num_actions(s) == 1
-        for s in ec.states
-        if model.owner(s) is Player.MINIMIZER
-    )
-    if max_trivial and min_trivial:
-        return model.owner(min(ec.states))
-    if min_trivial:
-        return Player.MAXIMIZER
-    if max_trivial:
-        return Player.MINIMIZER
-    return None

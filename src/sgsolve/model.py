@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 PROBABILITY_SUM_TOLERANCE = 1e-12
 
@@ -219,21 +219,16 @@ def collapse(
     model: GameModel,
     sets: Sequence[Iterable[int]],
     exit_actions: Sequence[Sequence[tuple[int, int]]],
-    *,
-    rep_owners: Optional[Sequence[Optional[Player]]] = None,
-    rep_rewards: Optional[Sequence[Optional[float]]] = None,
-    stay_loops: Iterable[int] = (),
 ) -> tuple[GameModel, CollapseMap]:
     """Merge each given state set into a single representative state.
 
-    For every set, the retained exit actions are carried over to the
-    representative with their in-set probability mass redirected onto the
-    representative itself.  An exit action that becomes a pure self-loop
-    is dropped unless it is the only retained action.  A set with an
-    empty exit list is made absorbing via a fresh self-loop.  Set indices
-    listed in ``stay_loops`` get an extra self-loop action in addition to
-    their exits (used when remaining in the merged region is a real
-    option with a well-defined value).
+    The representative takes the owner and reward of the set's smallest
+    member.  For every set, the retained exit actions are carried over to
+    the representative with their in-set probability mass redirected onto
+    the representative itself.  An exit action that becomes a pure
+    self-loop is dropped unless it is the only retained action.  A set
+    with an empty exit list is made absorbing via a fresh self-loop.
+    Raises ModelError on an empty set or a state id the model lacks.
 
     Returns the new model and the old-to-new state remap.
     """
@@ -242,17 +237,21 @@ def collapse(
         raise ModelError("sets and exit_actions must align")
     seen: set[int] = set()
     for s in frozen_sets:
+        if not s:
+            raise ModelError("cannot collapse an empty state set")
+        for state in s:
+            if not 0 <= state < model.num_states:
+                raise ModelError(f"cannot collapse unknown state {state}")
         if s & seen:
             raise OverlappingSets(f"state sets overlap on {sorted(s & seen)}")
         seen |= s
-    for set_idx, (members, exits) in enumerate(zip(frozen_sets, exit_actions)):
+    for members, exits in zip(frozen_sets, exit_actions):
         for state, action in exits:
             if state not in members:
                 raise ForeignAction(state, action)
             if not 0 <= action < model.num_actions(state):
                 raise ForeignAction(state, action)
 
-    stay_loops = set(stay_loops)
     set_of_state: dict[int, int] = {}
     for idx, members in enumerate(frozen_sets):
         for state in members:
@@ -290,23 +289,16 @@ def collapse(
             rewards.append(model.rewards[ref])
             action_lists.append([remap(d) for d in model.actions[ref]])
             continue
-        members = frozen_sets[ref]
-        first = min(members)
-        owner = None
-        if rep_owners is not None:
-            owner = rep_owners[ref]
-        owners.append(owner if owner is not None else model.owner(first))
-        reward = None
-        if rep_rewards is not None:
-            reward = rep_rewards[ref]
-        rewards.append(reward if reward is not None else model.rewards[first])
+        first = min(frozen_sets[ref])
+        owners.append(model.owner(first))
+        rewards.append(model.rewards[first])
         retained: list[Distribution] = []
         for state, action in exit_actions[ref]:
             mapped = remap(model.distribution(state, action))
             if mapped.is_self_loop(pos) and len(exit_actions[ref]) > 1:
                 continue
             retained.append(mapped)
-        if not retained or ref in stay_loops:
+        if not retained:
             retained.append(Distribution.dirac(pos))
         action_lists.append(retained)
 

@@ -2,12 +2,23 @@
 
 import pytest
 
-from conftest import chain_model, random_game, random_objective, split_value_mec_model
+from conftest import (
+    MAX,
+    MIN,
+    chain_model,
+    dirac,
+    dist,
+    random_game,
+    random_objective,
+    split_value_mec_model,
+)
 from sgsolve.bounds import BoundsVector
 from sgsolve.ce import solve_ce
 from sgsolve.generators import fig1_left, fig1_right, fig2_chain, generate
+from sgsolve.model import build_game
 from sgsolve.objectives import LabelMismatch, Objective
 from sgsolve.oracle import SingularSystem, TooLarge, game_value_bruteforce
+from sgsolve.pe import solve_pe
 
 
 def oracle_instances(rng, count, max_states=6):
@@ -108,6 +119,22 @@ def test_initial_bounds_override():
     assert result.value == pytest.approx(5.0, abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "start",
+    [
+        BoundsVector([6.0, 6.0], [4.0, 4.0]),
+        BoundsVector([4.0], [10.0]),
+        BoundsVector([4.0, 4.0], [10.0]),
+        BoundsVector([4.0, float("nan")], [10.0, 10.0]),
+        BoundsVector([4.0, 4.0], [float("nan"), 10.0]),
+    ],
+)
+def test_unusable_initial_bounds_rejected(start):
+    model, _ = fig1_left()
+    with pytest.raises(ValueError, match="initial bounds"):
+        solve_ce(model, Objective.mean_payoff(model), initial_bounds=start, max_sweeps=10)
+
+
 def test_instrument_sees_monotone_bounds():
     model, _ = generate("treemulsec", n=3)
     previous = {}
@@ -178,3 +205,47 @@ def test_state_map_tracks_collapsing():
     assert len(result.state_map) == model.num_states
     (goal,) = labels["goal"]
     assert result.bounds.lb[result.state_map[goal]] == 1.0
+
+
+def cycle_exit_game(owner):
+    """States 0 and 1 of ``owner`` form a reward-3 cycle; 0 may instead
+    move to the absorbing reward-5 state 2."""
+    return build_game(
+        [owner, owner, MAX],
+        [(dirac(1), dirac(2)), (dirac(0),), (dirac(2),)],
+        [3.0, 3.0, 5.0],
+        0,
+    )
+
+
+def goal_free_cycle_game():
+    """Maximizer cycle 0 <-> 1 whose exit from 1 hits goal 2 or sink 3 with
+    probability 1/2 each."""
+    return build_game(
+        [MAX, MAX, MAX, MAX],
+        [(dirac(1),), (dirac(0), dist((2, 0.5), (3, 0.5))), (dirac(2),), (dirac(3),)],
+        [0.0] * 4,
+        0,
+    )
+
+
+@pytest.mark.parametrize(
+    "model, objective, value",
+    [
+        (cycle_exit_game(MAX), Objective.mean_payoff(cycle_exit_game(MAX)), 5.0),
+        (cycle_exit_game(MIN), Objective.mean_payoff(cycle_exit_game(MIN)), 3.0),
+        (goal_free_cycle_game(), Objective.reachability({2}), 0.5),
+    ],
+    ids=["max-cycle", "min-cycle", "max-reach-cycle"],
+)
+def test_single_controller_cycle_is_deflated_not_merged(model, objective, value):
+    # Cycles in which only one player chooses are end components like any
+    # other: CE keeps every state and leaves them to deflate/inflate.
+    exact = game_value_bruteforce(model, objective, model.initial)
+    assert exact == pytest.approx(value, abs=1e-12)
+    ce = solve_ce(model, objective)
+    for result in (ce, solve_pe(model, objective)):
+        assert result.converged
+        assert abs(result.value - exact) <= 1e-6
+        assert result.lower - 1e-12 <= exact <= result.upper + 1e-12
+    assert ce.stats["working_states"] == model.num_states

@@ -5,12 +5,12 @@ import itertools
 import random
 
 import networkx as nx
+import pytest
 
 from conftest import MAX, MIN, dirac, dist, random_game, split_value_mec_model
 from sgsolve.graph import (
     EndComponent,
     attractor,
-    controlled_ec,
     mec_decompose,
     qualitative_reach,
     scc_decompose,
@@ -94,7 +94,6 @@ class TestMecDecompose:
         assert len(decomposition.mecs) == 2
         states = {mec.states for mec in decomposition.mecs}
         assert states == {frozenset({0, 1}), frozenset({2})}
-        assert decomposition.membership == (0, 0, 1)
 
     def test_action_pruning(self):
         m = cycle_model()
@@ -148,8 +147,20 @@ class TestAttractor:
         )
         assert attractor(m, {2}, MAX) == frozenset({2})
 
+    @pytest.mark.parametrize("target", [{-1}, {3}, {0, 7}])
+    def test_unknown_state_rejected(self, target):
+        with pytest.raises(ValueError, match="unknown state id"):
+            attractor(cycle_model(), target, MAX)
+
 
 class TestQualitativeReach:
+    @pytest.mark.parametrize(
+        "goal, unsafe", [({-1}, set()), ({7}, set()), ({2}, {-2}), ({2}, {9})]
+    )
+    def test_unknown_state_rejected(self, goal, unsafe):
+        with pytest.raises(ValueError, match="unknown state id"):
+            qualitative_reach(cycle_model(), goal, unsafe)
+
     def test_cycle_exit(self):
         m = cycle_model()
         value1, value0 = qualitative_reach(m, {2})
@@ -187,25 +198,3 @@ class TestQualitativeReach:
             value1, value0 = qualitative_reach(model, goal, avoid)
             assert value1 == {s for s, v in enumerate(values) if v >= 1 - 1e-9}
             assert value0 == {s for s, v in enumerate(values) if v <= 1e-9}
-
-
-class TestControlledEc:
-    def test_minimizer_choiceless(self):
-        m = split_value_mec_model()
-        (mec,) = mec_decompose(m).mecs
-        assert controlled_ec(m, mec) is None
-
-    def test_single_owner(self):
-        m = build_game(
-            [MAX, MAX],
-            [(dirac(1), dirac(0)), (dirac(0),)],
-            [0, 0],
-            0,
-        )
-        (mec,) = mec_decompose(m).mecs
-        assert controlled_ec(m, mec) is MAX
-
-    def test_nobody_chooses(self):
-        m = build_game([MIN, MAX], [(dirac(1),), (dirac(0),)], [0, 0], 0)
-        (mec,) = mec_decompose(m).mecs
-        assert controlled_ec(m, mec) is MIN

@@ -118,22 +118,21 @@ class TestCollapse:
         merged, cmap = collapse(m, [{0, 1}], [[]])
         assert merged.is_absorbing(cmap(0))
 
-    def test_stay_loop_adds_self_loop(self):
-        m = chain_model()
-        merged, cmap = collapse(m, [{0, 1}], [[(1, 0)]], stay_loops=[0])
-        rep = cmap(0)
-        dists = merged.actions[rep]
-        assert any(d.is_self_loop(rep) for d in dists)
-        assert any(not d.is_self_loop(rep) for d in dists)
-
-    def test_representative_overrides(self):
-        m = chain_model()
-        merged, cmap = collapse(
-            m, [{0, 1}], [[]], rep_owners=[MIN], rep_rewards=[9.0]
+    def test_representative_is_smallest_member(self):
+        m = build_game(
+            [MAX, MIN, MAX],
+            [(dirac(1),), (dirac(2),), (dirac(2),)],
+            [2.0, 7.0, 1.0],
+            0,
         )
-        rep = cmap(0)
-        assert merged.owner(rep) is MIN
-        assert merged.rewards[rep] == 9.0
+        merged, cmap = collapse(m, [{1, 2}], [[]])
+        assert merged.owner(cmap(1)) is MIN
+        assert merged.rewards[cmap(1)] == 7.0
+
+    @pytest.mark.parametrize("members", [set(), {0, 5}, {-1, 0}])
+    def test_empty_or_unknown_set_rejected(self, members):
+        with pytest.raises(ModelError, match="collapse"):
+            collapse(chain_model(), [members], [[]])
 
     def test_overlapping_sets_rejected(self):
         m = chain_model()
