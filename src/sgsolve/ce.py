@@ -113,12 +113,8 @@ def solve_ce(
                 state_update(work, bounds, s)
         if enable_deflation:
             for tracker in trackers:
-                if all(
-                    bounds.ub[s] - bounds.lb[s] <= epsilon
-                    for s in tracker.mec.states
-                ):
-                    continue
-                tracker.process(work, bounds)
+                if not tracker.settled(bounds, epsilon):
+                    tracker.process(work, bounds)
         if instrument is not None:
             instrument(sweeps, work, bounds)
         done = converged(bounds, start, epsilon)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from operator import mul
+from typing import Callable, Optional
 
 from .bounds import BoundsVector, optimal_actions
 from .graph import EndComponent, mec_decompose
@@ -91,10 +92,83 @@ def sec_candidates(
 
 @dataclass
 class _StayingIteration:
-    x: dict[int, float]
+    """The staying-value iteration of one end component, compiled once into
+    index lists so that a step reads no model structure.  Member ``i`` is
+    state ``members[i]`` and earns ``rewards[i]``; its internal actions are
+    ``actions[starts[i]:ends[i]]``, each a pair of parallel tuples (member
+    indices, probabilities) in distribution order, and ``choose[i]`` picks
+    its owner's best action value: ``max`` for Maximizer, ``min`` for
+    Minimizer, None when it has one action.  ``x`` and ``diffs`` (the last
+    step's differences) are indexed like ``members``."""
+
+    members: list[int]
+    rewards: list[float]
+    choose: list[Optional[Callable[[list[float]], float]]]
+    starts: list[int]
+    ends: list[int]
+    actions: list[tuple[tuple[int, ...], tuple[float, ...]]]
+    x: list[float]
     lo: float = -math.inf
     hi: float = math.inf
-    diffs: Optional[dict[int, float]] = None
+    diffs: Optional[list[float]] = None
+
+    @staticmethod
+    def compile(model: GameModel, ec: EndComponent) -> "_StayingIteration":
+        members = sorted(ec.states)
+        index = {s: i for i, s in enumerate(members)}
+        amap = ec.action_map()
+        choose: list[Optional[Callable[[list[float]], float]]] = []
+        starts: list[int] = []
+        ends: list[int] = []
+        actions = []
+        for s in members:
+            if len(amap[s]) == 1:
+                choose.append(None)
+            else:
+                choose.append(max if model.owner(s) is Player.MAXIMIZER else min)
+            starts.append(len(actions))
+            for a in amap[s]:
+                support = model.distribution(s, a).support
+                actions.append(
+                    (tuple(index[t] for t, _ in support), tuple(p for _, p in support))
+                )
+            ends.append(len(actions))
+        return _StayingIteration(
+            members,
+            [model.rewards[s] for s in members],
+            choose,
+            starts,
+            ends,
+            actions,
+            [0.0] * len(members),
+        )
+
+    def step(self) -> None:
+        """One aperiodic Bellman step, its differences folded into the
+        bracket, then the iterates shifted so the first member is 0."""
+        x = self.x
+        at = x.__getitem__
+        # An action's value is sum() of its products in support order;
+        # for a single product v, sum() returns 0.0 + v.
+        values = [
+            0.0 + probs[0] * x[targets[0]]
+            if len(targets) == 1
+            else sum(map(mul, probs, map(at, targets)))
+            for targets, probs in self.actions
+        ]
+        new = [
+            reward + 0.5 * xs + 0.5 * (values[i] if choose is None else choose(values[i:j]))
+            for reward, xs, choose, i, j in zip(
+                self.rewards, x, self.choose, self.starts, self.ends
+            )
+        ]
+        diffs = [u - xs for u, xs in zip(new, x)]
+        self.lo = max(self.lo, min(diffs))
+        self.hi = min(self.hi, max(diffs))
+        self.diffs = diffs
+        # Relative normalization keeps the iterates bounded.
+        shift = new[0]
+        self.x = [v - shift for v in new]
 
 
 def staying_bounds(
@@ -112,8 +186,10 @@ def staying_bounds(
     restricted to the candidate's internal actions (each state optimizing
     for its owner), made aperiodic by blending every step with a half
     self-loop; the running min/max of the iteration differences bracket
-    the per-state staying values.  Iterates are cached and reused across
-    calls.
+    the per-state staying values.  The iteration does not depend on the
+    beneficiary: ``cache`` keys it by ``candidate.ec.key()``, so the
+    Maximizer and the Minimizer candidate over one end component share
+    one iteration, compiled on first use and resumed by later calls.
 
     When the restricted game does not have a uniform value, the bracket
     stalls at the spread of the per-state values and never closes; each
@@ -127,45 +203,18 @@ def staying_bounds(
             return (1.0, 1.0)
         return (0.0, 0.0)
 
-    key = candidate.key()
+    key = candidate.ec.key()
     state = cache.get(key) if cache is not None else None
     if state is None:
-        state = _StayingIteration({s: 0.0 for s in sorted(candidate.ec.states)})
+        state = _StayingIteration.compile(model, candidate.ec)
         if cache is not None:
             cache[key] = state
 
-    amap = candidate.ec.action_map()
-    members = sorted(candidate.ec.states)
-    budget = max(64, 4 * len(members))
+    budget = max(64, 4 * len(state.members))
     steps = 0
     while state.hi - state.lo > precision and steps < budget:
         steps += 1
-        x = state.x
-        new: dict[int, float] = {}
-        diffs: dict[int, float] = {}
-        lo_step = math.inf
-        hi_step = -math.inf
-        for s in members:
-            maximize = model.owner(s) is Player.MAXIMIZER
-            best = None
-            for a in amap[s]:
-                value = sum(p * x[t] for t, p in model.distribution(s, a).support)
-                if best is None or (value > best if maximize else value < best):
-                    best = value
-            updated = model.rewards[s] + 0.5 * x[s] + 0.5 * best
-            diff = updated - x[s]
-            diffs[s] = diff
-            if diff < lo_step:
-                lo_step = diff
-            if diff > hi_step:
-                hi_step = diff
-            new[s] = updated
-        state.lo = max(state.lo, lo_step)
-        state.hi = min(state.hi, hi_step)
-        state.diffs = diffs
-        # Relative normalization keeps the iterates bounded.
-        shift = new[members[0]]
-        state.x = {s: v - shift for s, v in new.items()}
+        state.step()
     return state.lo, state.hi
 
 
@@ -183,9 +232,9 @@ def split_candidates(
     candidate's retained actions) are smaller candidates that can be
     de-/inflated on their own.
     """
-    diffs = iteration.diffs
-    if not diffs:
+    if not iteration.diffs:
         return []
+    diffs = dict(zip(iteration.members, iteration.diffs))
     members = sorted(candidate.ec.states, key=lambda s: (diffs[s], s))
     threshold = max((iteration.hi - iteration.lo) / (2.0 * len(members)), 1e-12)
     groups: list[list[int]] = [[members[0]]]
@@ -305,7 +354,10 @@ class MecTracker:
     Processing re-derives the candidate sets only when the recommender
     signature (the optimal actions inside the MEC) has changed.  When a
     tracker is re-processed and its candidates are unchanged, the staying
-    precision is halved so the bracket keeps tightening.
+    precision is halved so the bracket keeps tightening.  The staying
+    cache holds one iteration per end component (keyed by its
+    ``EndComponent.key()``), compiled once and shared by the deflated
+    Maximizer candidate and the inflated Minimizer candidate over it.
     """
 
     def __init__(self, mec: EndComponent, objective: Objective):
@@ -353,8 +405,16 @@ class MecTracker:
         single_ub = {s: acts[:1] for s, acts in optimal_ub.items()}
         new = {}
         for beneficiary in (Player.MAXIMIZER, Player.MINIMIZER):
+            # The search reads the restriction on the opponent's states only,
+            # so equal restrictions there yield the same candidates.
+            opponent = [s for s, _, _ in signature if model.owner(s) is beneficiary.opponent]
+            searched: set[tuple] = set()
             found: dict[tuple, SecCandidate] = {}
             for optimal in (optimal_ub, optimal_lb, single_ub, single_lb):
+                restriction = tuple(optimal[s] for s in opponent)
+                if restriction in searched:
+                    continue
+                searched.add(restriction)
                 for c in sec_candidates(
                     model, self.mec, bounds, beneficiary, opponent_optimal=optimal
                 ):
@@ -368,11 +428,18 @@ class MecTracker:
             if old_keys == new_keys:
                 self.precision = max(self.precision / 2.0, 1e-15)
             else:
+                ecs = {c.ec.key() for cands in new.values() for c in cands}
                 self.staying_cache = {
-                    k: v for k, v in self.staying_cache.items() if k in new_keys
+                    k: v for k, v in self.staying_cache.items() if k in ecs
                 }
         self.candidates = new
         self._signature = signature
+
+    def settled(self, bounds: BoundsVector, epsilon: float) -> bool:
+        """Whether every state of the MEC has a gap of at most ``epsilon``.
+        Both solvers skip a settled tracker: its states are resolved to the
+        precision asked for, and gaps never widen."""
+        return all(bounds.ub[s] - bounds.lb[s] <= epsilon for s in self.mec.states)
 
     def process(self, model: GameModel, bounds: BoundsVector) -> list[DeflateRecord]:
         """Refresh candidates if needed, then de-/inflate all of them.
@@ -396,7 +463,7 @@ class MecTracker:
                     records.append(
                         DeflateRecord(candidate.key(), candidate.ec.states, exits[0])
                     )
-                iteration = self.staying_cache.get(candidate.key())
+                iteration = self.staying_cache.get(candidate.ec.key())
                 if iteration is not None and iteration.hi - iteration.lo > self.precision:
                     for sub in split_candidates(model, candidate, iteration):
                         if sub.key() not in seen:

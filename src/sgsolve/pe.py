@@ -153,9 +153,13 @@ def _refresh_components(
     trackers: list[MecTracker],
     memory: Memory,
     use_memory: bool,
+    epsilon: float,
 ) -> list[MecTracker]:
     """Re-run MEC search on the explored region; carry over tracker caches
-    whose components persist or grew, then de-/inflate everything."""
+    whose components persist or grew, then de-/inflate every component
+    that is not yet settled.  A settled component's memory entries are
+    left as they are: ``sample_path`` stops at its states (gap below
+    ``2 * epsilon``) before it reads the memory."""
     decomposition = mec_decompose(model, restrict_to=part.explored)
     old_by_key = {tracker.mec.key(): tracker for tracker in trackers}
     old_by_state: dict[int, MecTracker] = {}
@@ -173,6 +177,8 @@ def _refresh_components(
                     tracker.absorb(old)
         fresh.append(tracker)
     for tracker in fresh:
+        if tracker.settled(part.bounds, epsilon):
+            continue
         records = tracker.process(model, part.bounds)
         valid = tracker.candidate_keys() | {r.candidate_key for r in records}
         for s in tracker.mec.states:
@@ -189,8 +195,9 @@ def _refresh_components(
     # Simulations jump straight to recorded exits, so interior component
     # states do not appear on paths; sweep the explored region so exit
     # values still propagate to them.
+    order = sorted(part.explored, reverse=True)
     for _ in range(2):
-        for s in sorted(part.explored, reverse=True):
+        for s in order:
             state_update(model, part.bounds, s)
     return fresh
 
@@ -229,7 +236,8 @@ def solve_pe(
         _backpropagate(work, part, path)
         if looped or paths % COMPONENT_SEARCH_PERIOD == 0:
             trackers = _refresh_components(
-                work, part, query.objective, trackers, memory, use_deflate_memory
+                work, part, query.objective, trackers, memory, use_deflate_memory,
+                epsilon,
             )
             _backpropagate(work, part, path)
         if instrument is not None:

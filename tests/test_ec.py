@@ -1,10 +1,13 @@
 """End-component handling: candidate search, staying values, deflate,
 inflate and candidate splitting."""
 
+import math
+
 import pytest
 
 from conftest import MAX, MIN, dirac, random_game, split_value_mec_model
-from sgsolve.bounds import BoundsVector
+from sgsolve import ecsolve
+from sgsolve.bounds import BoundsVector, state_update
 from sgsolve.ecsolve import (
     MecTracker,
     SecCandidate,
@@ -15,7 +18,7 @@ from sgsolve.ecsolve import (
     split_candidates,
     staying_bounds,
 )
-from sgsolve.generators import fig1_left, fig1_right
+from sgsolve.generators import fig1_left, fig1_right, generate
 from sgsolve.graph import EndComponent, mec_decompose
 from sgsolve.model import build_game
 from sgsolve.objectives import Objective
@@ -93,9 +96,21 @@ class TestStayingBounds:
         objective = Objective.mean_payoff(model)
         cache = {}
         staying_bounds(model, candidate, objective, 1.0, cache)
-        assert candidate.key() in cache
+        assert candidate.ec.key() in cache
         lo, hi = staying_bounds(model, candidate, objective, 1e-12, cache)
         assert hi - lo <= 1e-12
+
+    def test_beneficiaries_share_one_iteration(self):
+        model = build_game(
+            [MAX, MIN], [(dirac(1),), (dirac(0),)], [2.0, 4.0], 0
+        )
+        ec = EndComponent.of([0, 1], {0: (0,), 1: (0,)})
+        objective = Objective.mean_payoff(model)
+        cache = {}
+        deflated = staying_bounds(model, SecCandidate(ec, MAX), objective, 1e-9, cache)
+        inflated = staying_bounds(model, SecCandidate(ec, MIN), objective, 1e-9, cache)
+        assert list(cache) == [ec.key()]
+        assert inflated == deflated
 
     def test_split_value_bracket_stalls(self):
         model = split_value_mec_model()
@@ -110,6 +125,81 @@ class TestStayingBounds:
         assert hi - lo >= 10.0 - 1e-6
 
 
+def reference_staying(model, ec, precision, state):
+    """The dict-based staying iteration that the compiled one replaced,
+    kept as the reference: ``state`` holds ``x``, ``lo``, ``hi`` and
+    ``diffs`` keyed by state and is resumed across calls."""
+    amap = ec.action_map()
+    members = sorted(ec.states)
+    budget = max(64, 4 * len(members))
+    steps = 0
+    while state["hi"] - state["lo"] > precision and steps < budget:
+        steps += 1
+        x = state["x"]
+        new = {}
+        diffs = {}
+        lo_step = math.inf
+        hi_step = -math.inf
+        for s in members:
+            maximize = model.owner(s) is MAX
+            best = None
+            for a in amap[s]:
+                value = sum(p * x[t] for t, p in model.distribution(s, a).support)
+                if best is None or (value > best if maximize else value < best):
+                    best = value
+            updated = model.rewards[s] + 0.5 * x[s] + 0.5 * best
+            diff = updated - x[s]
+            diffs[s] = diff
+            if diff < lo_step:
+                lo_step = diff
+            if diff > hi_step:
+                hi_step = diff
+            new[s] = updated
+        state["lo"] = max(state["lo"], lo_step)
+        state["hi"] = min(state["hi"], hi_step)
+        state["diffs"] = diffs
+        shift = new[members[0]]
+        state["x"] = {s: v - shift for s, v in new.items()}
+    return state["lo"], state["hi"]
+
+
+def bits(values):
+    """Floats as hex strings, so that equality also tells -0.0 from 0.0."""
+    return [float(v).hex() for v in values]
+
+
+class TestCompiledStayingIteration:
+    def test_matches_dict_reference_on_random_ecs(self, rng):
+        """Bit-identical brackets, differences and iterates on random
+        mean-payoff end components, over tightening precisions that each
+        resume the cached iteration."""
+        checked = 0
+        while checked < 200:
+            model = random_game(rng, max_states=8)
+            objective = Objective.mean_payoff(model)
+            for mec in mec_decompose(model).mecs:
+                checked += 1
+                candidate = SecCandidate(mec, rng.choice([MAX, MIN]))
+                cache = {}
+                reference = {
+                    "x": {s: 0.0 for s in mec.states},
+                    "lo": -math.inf,
+                    "hi": math.inf,
+                }
+                for precision in (1.0, 1e-4, 1e-9, 1e-15):
+                    got = staying_bounds(model, candidate, objective, precision, cache)
+                    want = reference_staying(model, mec, precision, reference)
+                    assert bits(got) == bits(want)
+                    iteration = cache[mec.key()]
+                    assert iteration.members == sorted(mec.states)
+                    assert bits(iteration.diffs) == bits(
+                        reference["diffs"][s] for s in iteration.members
+                    )
+                    assert bits(iteration.x) == bits(
+                        reference["x"][s] for s in iteration.members
+                    )
+
+
 class TestSplitCandidates:
     def test_split_value_mec_splits_into_singletons(self):
         model = split_value_mec_model()
@@ -117,7 +207,7 @@ class TestSplitCandidates:
         candidate = SecCandidate(mec, MAX)
         cache = {}
         staying_bounds(model, candidate, Objective.mean_payoff(model), 1e-9, cache)
-        subs = split_candidates(model, candidate, cache[candidate.key()])
+        subs = split_candidates(model, candidate, cache[candidate.ec.key()])
         assert {sub.ec.states for sub in subs} == {
             frozenset({0}),
             frozenset({1}),
@@ -133,7 +223,7 @@ class TestSplitCandidates:
         )
         cache = {}
         staying_bounds(model, candidate, Objective.mean_payoff(model), 1e-9, cache)
-        assert split_candidates(model, candidate, cache[candidate.key()]) == []
+        assert split_candidates(model, candidate, cache[candidate.ec.key()]) == []
 
 
 class TestBestExit:
@@ -267,3 +357,86 @@ class TestMecTracker:
         other.precision = 1e-12
         tracker.absorb(other)
         assert tracker.precision == 1e-12
+
+    def test_settled(self):
+        model = split_value_mec_model()
+        (mec,) = mec_decompose(model).mecs
+        tracker = MecTracker(mec, Objective.mean_payoff(model))
+        assert tracker.settled(BoundsVector([10.0, 0.0], [10.0, 1e-6]), 1e-6)
+        assert not tracker.settled(BoundsVector([10.0, 0.0], [10.0, 2e-6]), 1e-6)
+
+
+def opponent_restrictions(model, signature, beneficiary):
+    """The four opponent restrictions of ``refresh_candidates``, each
+    reduced to the opponent's states that the search reads."""
+    on_lb = {s: acts for s, acts, _ in signature}
+    on_ub = {s: acts for s, _, acts in signature}
+    opponent = [s for s, _, _ in signature if model.owner(s) is beneficiary.opponent]
+    return [
+        {s: restriction[s] for s in opponent}
+        for restriction in (
+            on_ub,
+            on_lb,
+            {s: acts[:1] for s, acts in on_ub.items()},
+            {s: acts[:1] for s, acts in on_lb.items()},
+        )
+    ]
+
+
+class TestRefreshCandidates:
+    def searches(self, monkeypatch, model, rounds):
+        """Drive CE-like sweeps and check every re-derivation against a
+        search under all four restrictions.  Returns the number of searches
+        made and the number the four restrictions would have made."""
+        real = ecsolve.sec_candidates
+        calls = []
+
+        def counting(model, game_mec, bounds, beneficiary, *args, **kwargs):
+            calls.append(beneficiary)
+            return real(model, game_mec, bounds, beneficiary, *args, **kwargs)
+
+        monkeypatch.setattr(ecsolve, "sec_candidates", counting)
+        objective = Objective.mean_payoff(model)
+        n = model.num_states
+        bounds = BoundsVector(
+            [objective.value_floor()] * n, [objective.value_ceiling()] * n
+        )
+        trackers = [MecTracker(mec, objective) for mec in mec_decompose(model).mecs]
+        made = all_four = 0
+        for _ in range(rounds):
+            for s in model.states():
+                state_update(model, bounds, s)
+            for tracker in trackers:
+                calls.clear()
+                tracker.refresh_candidates(model, bounds)
+                if calls:
+                    made += len(calls)
+                    all_four += 8
+                    for beneficiary in (MAX, MIN):
+                        restrictions = opponent_restrictions(
+                            model, tracker._signature, beneficiary
+                        )
+                        distinct = {tuple(r.items()) for r in restrictions}
+                        assert calls.count(beneficiary) == len(distinct)
+                        found = {}
+                        for restriction in restrictions:
+                            for c in real(model, tracker.mec, bounds, beneficiary, restriction):
+                                found[c.key()] = c
+                        keys = [c.key() for c in tracker.candidates[beneficiary]]
+                        assert keys == list(found)
+                tracker.process(model, bounds)
+        return made, all_four
+
+    def test_one_search_per_distinct_restriction_treebigmec(self, monkeypatch):
+        model, _ = generate("treebigmec", n=3)
+        made, all_four = self.searches(monkeypatch, model, rounds=10)
+        assert 0 < made < all_four
+
+    def test_one_search_per_distinct_restriction_random_games(self, monkeypatch, rng):
+        made = all_four = 0
+        for _ in range(60):
+            model = random_game(rng, max_states=8)
+            m, a = self.searches(monkeypatch, model, rounds=4)
+            made += m
+            all_four += a
+        assert 0 < made < all_four

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import random_game, random_objective
 from sgsolve.ce import solve_ce
+from sgsolve.ecsolve import MecTracker
 from sgsolve.generators import fig1_left, fig1_right, fig2_chain, generate
 from sgsolve.objectives import LabelMismatch, Objective
 from sgsolve.oracle import SingularSystem, TooLarge, game_value_bruteforce
@@ -161,3 +162,38 @@ def test_bad_epsilon_rejected():
         solve_pe(model, Objective.mean_payoff(model), epsilon=-1.0)
     with pytest.raises(ValueError):
         solve_pe(model, Objective.mean_payoff(model), epsilon=float("nan"), max_paths=10)
+
+
+@pytest.mark.parametrize(
+    "family, params, reference",
+    [
+        ("treemulsec", {"n": 2}, None),
+        # Too large for the oracle; minimax over the leaf values of the
+        # treemulsec docstring (root Maximizer) gives 6.5.
+        ("treemulsec", {"n": 3}, 6.5),
+        ("fig2chain", {"k": 3}, None),
+    ],
+)
+def test_settled_components_are_not_processed(monkeypatch, family, params, reference):
+    model, labels = generate(family, **params)
+    if "goal" in labels:
+        objective = Objective.reachability(labels["goal"])
+    else:
+        objective = Objective.mean_payoff(model)
+    epsilon = 1e-6
+    real = MecTracker.process
+    settled = []
+
+    def process(tracker, model, bounds):
+        settled.append(
+            all(bounds.ub[s] - bounds.lb[s] <= epsilon for s in tracker.mec.states)
+        )
+        return real(tracker, model, bounds)
+
+    monkeypatch.setattr(MecTracker, "process", process)
+    result = solve_pe(model, objective, epsilon, seed=1)
+    assert settled and not any(settled)
+    assert result.converged
+    if reference is None:
+        reference = game_value_bruteforce(model, objective, model.initial)
+    assert result.lower - 1e-12 <= reference <= result.upper + 1e-12
