@@ -1,7 +1,20 @@
-"""Complete-exploration solver: Gauss-Seidel interval iteration over the
-whole game, with qualitative precomputation (a reachability query's
-value-1 and value-0 regions are merged into one state each) and
-deflate/inflate handling of every end component."""
+"""Complete-exploration solver: interval iteration over the strongly
+connected components of the whole game, sinks first, with qualitative
+precomputation (a reachability query's value-1 and value-0 regions are
+merged into one state each) and deflate/inflate handling of every end
+component.
+
+A pass visits the unresolved components in reverse topological order, so
+a component is updated after everything it can reach.  A round of a
+component is one Bellman update of each of its open states (gap above
+epsilon), then one processing of each of its unsettled end-component
+trackers.  A component gets another round in the same pass while it is
+unresolved and its last round at least halved its widest gap; a one-state
+component without trackers gets one round per pass.  Slow components
+(an end component whose staying bracket tightens slowly, a slowly mixing
+chain) thus wait for the next pass instead of holding it up.  A component
+whose gaps are all at most epsilon is resolved: gaps never widen, so it is
+never visited again and its trackers are dropped."""
 
 from __future__ import annotations
 
@@ -9,7 +22,7 @@ from typing import Callable, Optional
 
 from .bounds import BoundsVector, converged, midpoint, state_update
 from .ecsolve import MecTracker
-from .graph import mec_decompose
+from .graph import mec_decompose, scc_decompose
 from .model import GameModel, collapse
 from .objectives import Objective, ObjectiveKind, init_bounds, prepare
 from .result import SolveResult
@@ -46,8 +59,14 @@ def solve_ce(
     instrument: Optional[Instrument] = None,
 ) -> SolveResult:
     """Solve the whole game to an epsilon-precise value at the initial
-    state.  Returns certified bounds even when the sweep budget runs out
-    (``converged`` is False then).
+    state, component by component in the order the module docstring
+    describes; the solve stops as soon as the initial state has converged.
+    ``iterations`` is the largest number of rounds any one component
+    received, which for a game that is one component is the number of
+    sweeps, and ``max_sweeps`` caps it: a component that has had that many
+    rounds gets no more.  Returns certified bounds even when the budget
+    runs out (``converged`` is False then).  ``instrument(iterations,
+    model, bounds)`` is called after every pass.
 
     ``initial_bounds`` overrides the default initialization (given in the
     original state numbering and the caller's orientation, and required to
@@ -98,26 +117,49 @@ def solve_ce(
     else:
         working_objective = query.objective
 
-    trackers: list[MecTracker] = []
+    components = scc_decompose(work)
+    trackers: list[list[MecTracker]] = [[] for _ in components]
     if enable_deflation:
-        decomposition = mec_decompose(work)
-        trackers = [MecTracker(mec, working_objective) for mec in decomposition.mecs]
+        home = {s: i for i, states in enumerate(components) for s in states}
+        for mec in mec_decompose(work).mecs:
+            trackers[home[min(mec.states)]].append(MecTracker(mec, working_objective))
 
     start = mapping[model.initial]
+    lb, ub = bounds.lb, bounds.ub
+    rounds = [0] * len(components)
+    pending = list(range(len(components)))
+    iterations = 0
     done = False
-    sweeps = 0
-    while sweeps < max_sweeps and not done:
-        sweeps += 1
-        for s in work.states():
-            if bounds.ub[s] - bounds.lb[s] > epsilon:
-                state_update(work, bounds, s)
-        if enable_deflation:
-            for tracker in trackers:
-                if not tracker.settled(bounds, epsilon):
-                    tracker.process(work, bounds)
+    while pending and not done:
+        unresolved = []
+        for i in pending:
+            states = components[i]
+            widest = max(ub[s] - lb[s] for s in states)
+            while rounds[i] < max_sweeps:
+                rounds[i] += 1
+                for s in states:
+                    if ub[s] - lb[s] > epsilon:
+                        state_update(work, bounds, s)
+                for tracker in trackers[i]:
+                    if not tracker.settled(bounds, epsilon):
+                        tracker.process(work, bounds)
+                last, widest = widest, max(ub[s] - lb[s] for s in states)
+                if widest <= epsilon or (len(states) == 1 and not trackers[i]):
+                    break
+                # An infinite gap never halves.
+                if not widest <= 0.5 * last < last:
+                    break
+            iterations = max(iterations, rounds[i])
+            if widest > epsilon and rounds[i] < max_sweeps:
+                unresolved.append(i)
+            else:
+                trackers[i] = []
+            done = converged(bounds, start, epsilon)
+            if done:
+                break
+        pending = unresolved
         if instrument is not None:
-            instrument(sweeps, work, bounds)
-        done = converged(bounds, start, epsilon)
+            instrument(iterations, work, bounds)
 
     return query.orient(SolveResult(
         value=midpoint(bounds, start),
@@ -126,7 +168,7 @@ def solve_ce(
         precision=epsilon,
         mode="ce",
         objective=objective.kind.value,
-        iterations=sweeps,
+        iterations=iterations,
         states_explored=model.num_states,
         converged=done,
         bounds=bounds,

@@ -75,7 +75,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--max-iterations", type=int, default=None,
-        help="sweep (ce) or path (pe) budget",
+        help="round (ce) or path (pe) budget",
     )
     return parser
 

@@ -8,7 +8,7 @@ generated models can have paths far deeper than the interpreter stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Container, Iterable, Optional, Sequence
 
 from .model import GameModel, Player
 
@@ -263,8 +263,11 @@ def qualitative_reach(
 
     Returns (value1, value0).  Unsafe states are absorbing misses, whatever
     their actions: they are never in value1, always in value0, and reach
-    through them counts for nothing.  Raises ValueError on a goal or
-    unsafe id the model lacks.
+    through them counts for nothing.  Value 0 is one backward closure over
+    the whole game.  Value 1 is a nested fixpoint, solved one SCC at a
+    time in reverse topological order against the value-1 set already
+    settled downstream, so each of its rounds is linear in one component.
+    Raises ValueError on a goal or unsafe id the model lacks.
     """
     unsafe = set(unsafe)
     goal = set(goal)
@@ -279,17 +282,29 @@ def qualitative_reach(
             model, s, Player.MAXIMIZER, lambda sup: any(t in inside for t, _ in sup)
         )
 
-    # Value 1 is a two-nested fixpoint: the outer set shrinks to the region
-    # Maximizer never has to leave, the inner set grows from the goal
-    # through actions that stay in the outer set and make progress.
-    def progress(s: int, inner: set[int]) -> bool:
+    # Within a component, the outer set shrinks to the region Maximizer
+    # never has to leave but for the settled value-1 set, and the inner set
+    # grows from the goal through actions that stay in the outer or the
+    # settled set and make progress into the inner or the settled set.
+    def progress(s: int, inner: Container[int]) -> bool:
         def good(sup) -> bool:
-            return all(t in outer for t, _ in sup) and any(t in inner for t, _ in sup)
+            return all(t in outer or t in value1 for t, _ in sup) and any(
+                t in inner or t in value1 for t, _ in sup
+            )
 
         return s in outer and _chooses(model, s, Player.MAXIMIZER, good)
 
-    outer = set(model.states()) - unsafe
-    while (inner := _closure(preds, goal & outer, progress)) != outer:
-        outer = inner
+    value1: set[int] = set()
+    for component in scc_decompose(model):
+        outer = set(component) - unsafe
+        while outer:
+            # The goal and the states with progress straight into the
+            # settled set; the rest join along predecessors.
+            seed = [s for s in outer if s in goal or progress(s, ())]
+            inner = _closure(preds, seed, progress)
+            if inner == outer:
+                break
+            outer = inner
+        value1 |= outer
     value0 = frozenset(model.states()) - frozenset(_closure(preds, goal, positive))
-    return frozenset(outer), value0
+    return frozenset(value1), value0

@@ -55,6 +55,35 @@ def split_value_mec_model(order_a: int = 0, order_b: int = 0) -> GameModel:
     return build_game([MAX, MIN], [tuple(a_acts), tuple(b_acts)], [10.0, 0.0], 0)
 
 
+def reflecting_walk(n: int = 120) -> GameModel:
+    """Fair random walk over states 0..n-1 that reflects at 0 (half stay,
+    half up) and is absorbed at the goal n-1; every state reaches the goal
+    almost surely.  The initial state is 0."""
+    actions = [(dist((0, 0.5), (1, 0.5)),)]
+    actions += [(dist((s - 1, 0.5), (s + 1, 0.5)),) for s in range(1, n - 1)]
+    actions.append((dirac(n - 1),))
+    return build_game([MAX] * n, actions, [0.0] * n, 0)
+
+
+def relabelled(model: GameModel, labels: dict, seed: int) -> tuple[GameModel, dict]:
+    """The same game and labels with the state ids shuffled by a seeded
+    permutation."""
+    new_id = list(range(model.num_states))
+    random.Random(seed).shuffle(new_id)
+    old_id = sorted(range(model.num_states), key=new_id.__getitem__)
+    actions = [
+        [Distribution.of((new_id[t], p) for t, p in d.support) for d in model.actions[old]]
+        for old in old_id
+    ]
+    game = build_game(
+        [model.owners[old] for old in old_id],
+        actions,
+        [model.rewards[old] for old in old_id],
+        new_id[model.initial],
+    )
+    return game, {name: frozenset(new_id[s] for s in states) for name, states in labels.items()}
+
+
 def random_game(rng: random.Random, max_states: int = 8) -> GameModel:
     """Small game with dyadic probabilities (multiples of 1/16), up to 3
     actions per state and integer rewards in [0, 10]."""

@@ -10,9 +10,11 @@ from conftest import (
     dist,
     random_game,
     random_objective,
+    reflecting_walk,
+    relabelled,
     split_value_mec_model,
 )
-from sgsolve.bounds import BoundsVector
+from sgsolve.bounds import BoundsVector, state_update
 from sgsolve.ce import solve_ce
 from sgsolve.generators import fig1_left, fig1_right, fig2_chain, generate
 from sgsolve.model import build_game
@@ -249,3 +251,101 @@ def test_single_controller_cycle_is_deflated_not_merged(model, objective, value)
         assert abs(result.value - exact) <= 1e-6
         assert result.lower - 1e-12 <= exact <= result.upper + 1e-12
     assert ce.stats["working_states"] == model.num_states
+
+
+def counted_updates(monkeypatch) -> list[int]:
+    """Route CE's Bellman updates through a counter; returns the count cell."""
+    calls = [0]
+
+    def counted(model, bounds, state):
+        calls[0] += 1
+        state_update(model, bounds, state)
+
+    monkeypatch.setattr("sgsolve.ce.state_update", counted)
+    return calls
+
+
+def gamblers_ruin(enter):
+    """State 0 enters a fair gambler's-ruin walk over the 30 states 2..31 at
+    its middle state 17 with probability ``enter`` and drops to the losing
+    end 1 otherwise; the walk ends in 1 (lose) and 32 (goal)."""
+    actions = [(dist((17, enter), (1, 1.0 - enter)),), (dirac(1),)]
+    actions += [(dist((s - 1, 0.5), (s + 1, 0.5)),) for s in range(2, 32)]
+    actions.append((dirac(32),))
+    return build_game([MAX] * 33, actions, [0.0] * 33, 0), Objective.reachability({32})
+
+
+@pytest.mark.parametrize("enter, sweep_updates", [(0.01, 26_443), (0.5, 38_191)])
+def test_slow_mixing_component_costs_no_more_than_sweeps(monkeypatch, enter, sweep_updates):
+    # The walk halves no gap per round, so it gets one round per pass, as
+    # under id-order sweeps (whose update counts are ``sweep_updates``);
+    # iterating it until all its gaps are within epsilon takes 71,256.
+    calls = counted_updates(monkeypatch)
+    model, objective = gamblers_ruin(enter)
+    result = solve_ce(model, objective)
+    assert result.converged
+    exact = enter * 16 / 31
+    assert result.lower - 1e-12 <= exact <= result.upper + 1e-12
+    assert calls[0] <= 1.1 * sweep_updates
+
+
+@pytest.mark.parametrize(
+    "family, params, label",
+    [("dicerace", {"target": 20}, "goal"), ("treemulsec", {"n": 6}, None)],
+)
+def test_updates_do_not_depend_on_numbering(monkeypatch, family, params, label):
+    calls = counted_updates(monkeypatch)
+    generated = generate(family, **params)
+    counts, results = [], []
+    for seed in (None, 1, 2):
+        model, labels = generated if seed is None else relabelled(*generated, seed)
+        if label is None:
+            objective = Objective.mean_payoff(model)
+        else:
+            objective = Objective.reachability(labels[label])
+        calls[0] = 0
+        results.append(solve_ce(model, objective))
+        counts.append(calls[0])
+    assert all(result.converged for result in results)
+    assert max(result.lower for result in results) <= min(result.upper for result in results)
+    for count in counts[1:]:
+        assert abs(count - counts[0]) <= 0.1 * counts[0]
+
+
+def test_reflecting_walk_is_solved_by_the_qualitative_pass():
+    # Without the value-1 set (``qualitative=False``), interval iteration
+    # on this walk takes 81,602 rounds, about 18 s, to close the gap.
+    model = reflecting_walk(120)
+    result = solve_ce(model, Objective.reachability({119}))
+    assert result.lower == result.upper == 1.0
+    assert result.iterations == 1
+
+
+def test_budget_counts_rounds_of_the_slowest_component():
+    # From state 0, half of the mass enters the component {1, 2}, whose gaps
+    # halve every round and which exits to the reward-2 sink 5; the other
+    # half enters the fig1_left loop 3, whose upper bound nothing but
+    # deflation lowers from 10 to its exit value 5 (state 4).
+    model = build_game(
+        [MAX, MAX, MIN, MAX, MAX, MAX],
+        [
+            (dist((1, 0.5), (3, 0.5)),),
+            (dist((2, 0.5), (5, 0.5)),),
+            (dist((1, 0.5), (5, 0.5)),),
+            (dirac(3), dirac(4)),
+            (dirac(4),),
+            (dirac(5),),
+        ],
+        [0.0, 0.0, 0.0, 4.0, 5.0, 2.0],
+        0,
+    )
+    objective = Objective.mean_payoff(model)
+    exact = game_value_bruteforce(model, objective, model.initial)
+    assert exact == pytest.approx(3.5, abs=1e-12)
+    loose = BoundsVector([0.0] * 6, [10.0] * 6)
+    result = solve_ce(
+        model, objective, max_sweeps=50, enable_deflation=False, initial_bounds=loose
+    )
+    assert result.converged is False
+    assert result.iterations == 50
+    assert result.lower - 1e-12 <= exact <= result.upper + 1e-12

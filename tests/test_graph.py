@@ -7,7 +7,15 @@ import random
 import networkx as nx
 import pytest
 
-from conftest import MAX, MIN, dirac, dist, random_game, split_value_mec_model
+from conftest import (
+    MAX,
+    MIN,
+    dirac,
+    dist,
+    random_game,
+    reflecting_walk,
+    split_value_mec_model,
+)
 from sgsolve.graph import (
     EndComponent,
     attractor,
@@ -15,6 +23,7 @@ from sgsolve.graph import (
     qualitative_reach,
     scc_decompose,
 )
+from sgsolve.generators import generate
 from sgsolve.model import build_game
 from sgsolve.objectives import Objective
 from sgsolve.oracle import SingularSystem, TooLarge, game_value_bruteforce
@@ -153,6 +162,44 @@ class TestAttractor:
             attractor(cycle_model(), target, MAX)
 
 
+def reference_qualitative_reach(model, goal, unsafe=()):
+    """The whole-game fixpoint that the per-component one replaced, kept as
+    the reference: value 1 is a nested fixpoint over all states at once,
+    value 0 the complement of positive reach, each set grown by sweeping
+    every state until nothing joins."""
+    unsafe = set(unsafe)
+    goal = set(goal) - unsafe
+
+    def grow(seed, joins):
+        inside = set(seed)
+        changed = True
+        while changed:
+            changed = False
+            for s in model.states():
+                if s not in inside and joins(s, inside):
+                    inside.add(s)
+                    changed = True
+        return inside
+
+    def chooses(s, good):
+        quantifier = any if model.owner(s) is MAX else all
+        return quantifier(good(d.support) for d in model.actions[s])
+
+    def progress(s, inner):
+        return s in outer and chooses(
+            s,
+            lambda sup: all(t in outer for t, _ in sup) and any(t in inner for t, _ in sup),
+        )
+
+    def positive(s, inside):
+        return s not in unsafe and chooses(s, lambda sup: any(t in inside for t, _ in sup))
+
+    outer = set(model.states()) - unsafe
+    while (inner := grow(goal & outer, progress)) != outer:
+        outer = inner
+    return frozenset(outer), frozenset(model.states()) - frozenset(grow(goal, positive))
+
+
 class TestQualitativeReach:
     @pytest.mark.parametrize(
         "goal, unsafe", [({-1}, set()), ({7}, set()), ({2}, {-2}), ({2}, {9})]
@@ -198,3 +245,22 @@ class TestQualitativeReach:
             value1, value0 = qualitative_reach(model, goal, avoid)
             assert value1 == {s for s, v in enumerate(values) if v >= 1 - 1e-9}
             assert value0 == {s for s, v in enumerate(values) if v <= 1e-9}
+
+    def test_matches_whole_game_reference_on_random_games(self, rng):
+        for _ in range(2000):
+            model = random_game(rng, max_states=12)
+            states = list(model.states())
+            goal = set(rng.sample(states, rng.randint(1, model.num_states)))
+            unsafe = set(rng.sample(states, rng.randint(0, model.num_states // 2)))
+            got = qualitative_reach(model, goal, unsafe)
+            assert got == reference_qualitative_reach(model, goal, unsafe)
+
+    def test_matches_whole_game_reference_on_dicerace_and_walk(self):
+        model, labels = generate("dicerace", target=10)
+        for unsafe in ((), labels["lose"]):
+            got = qualitative_reach(model, labels["goal"], unsafe)
+            assert got == reference_qualitative_reach(model, labels["goal"], unsafe)
+        walk = reflecting_walk(120)
+        value1, value0 = qualitative_reach(walk, {119})
+        assert (value1, value0) == reference_qualitative_reach(walk, {119})
+        assert value1 == frozenset(walk.states())
