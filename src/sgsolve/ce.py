@@ -64,9 +64,10 @@ def solve_ce(
     ``iterations`` is the largest number of rounds any one component
     received, which for a game that is one component is the number of
     sweeps, and ``max_sweeps`` caps it: a component that has had that many
-    rounds gets no more.  Returns certified bounds even when the budget
-    runs out (``converged`` is False then).  ``instrument(iterations,
-    model, bounds)`` is called after every pass.
+    rounds gets no more; a cap below 1 raises ValueError.  Returns
+    certified bounds even when the budget runs out (``converged`` is False
+    then).  ``instrument(iterations, model, bounds)`` is called after
+    every pass.
 
     ``initial_bounds`` overrides the default initialization (given in the
     original state numbering and the caller's orientation, and required to
@@ -78,6 +79,8 @@ def solve_ce(
     behaviour."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    if not max_sweeps >= 1:
+        raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
     if initial_bounds is not None:
         lb, ub = initial_bounds.lb, initial_bounds.ub
         if not len(lb) == len(ub) == model.num_states:

@@ -358,6 +358,11 @@ class MecTracker:
     cache holds one iteration per end component (keyed by its
     ``EndComponent.key()``), compiled once and shared by the deflated
     Maximizer candidate and the inflated Minimizer candidate over it.
+
+    A ``process`` call that changes no bound and splits no candidate is
+    quiet.  After one, the tracker keeps the bounds that processing reads
+    (those of the MEC's states and of all their successors) and the
+    records it returned, until the next call that is not skipped.
     """
 
     def __init__(self, mec: EndComponent, objective: Objective):
@@ -368,6 +373,12 @@ class MecTracker:
         self.staying_cache: dict = {}
         self.candidates: Optional[dict[Player, list[SecCandidate]]] = None
         self._signature: Optional[tuple] = None
+        self._reads: Optional[list[int]] = None
+        # After a quiet call: the lb and ub of ``_reads``, the widest cached
+        # staying bracket of the candidates, and the records returned.
+        self._quiet: Optional[
+            tuple[list[float], list[float], float, list[DeflateRecord]]
+        ] = None
 
     def _recommender_signature(self, model: GameModel, bounds: BoundsVector) -> tuple:
         """Per-state optimal action sets under each bound.  Candidates are
@@ -441,12 +452,65 @@ class MecTracker:
         precision asked for, and gaps never widen."""
         return all(bounds.ub[s] - bounds.lb[s] <= epsilon for s in self.mec.states)
 
+    def _nothing_to_do(self, bounds: BoundsVector) -> bool:
+        """Whether processing now would change nothing: the last call was
+        quiet, no bound it read has moved since, and every cached staying
+        bracket of the candidates is within the precision this call would
+        use.  Then the recommender signature is unchanged, no staying step
+        and no split runs, and every de-/inflation sees the bounds and the
+        bracket it saw in the quiet call, so it changes nothing again and
+        picks the same exits."""
+        if self._quiet is None:
+            return False
+        lb_seen, ub_seen, width, _ = self._quiet
+        if width > max(self.precision / 2.0, 1e-15):
+            return False
+        reads = self._reads
+        return (
+            list(map(bounds.lb.__getitem__, reads)) == lb_seen
+            and list(map(bounds.ub.__getitem__, reads)) == ub_seen
+        )
+
+    def _remember_quiet(
+        self, model: GameModel, bounds: BoundsVector, records: list[DeflateRecord]
+    ) -> None:
+        if self._reads is None:
+            reads = set(self.mec.states)
+            for s in self.mec.states:
+                for dist in model.actions[s]:
+                    reads.update(t for t, _ in dist.support)
+            self._reads = sorted(reads)
+        assert self.candidates is not None
+        widths = [
+            iteration.hi - iteration.lo
+            for cands in self.candidates.values()
+            for c in cands
+            if (iteration := self.staying_cache.get(c.ec.key())) is not None
+        ]
+        self._quiet = (
+            list(map(bounds.lb.__getitem__, self._reads)),
+            list(map(bounds.ub.__getitem__, self._reads)),
+            max(widths, default=-math.inf),
+            records,
+        )
+
     def process(self, model: GameModel, bounds: BoundsVector) -> list[DeflateRecord]:
         """Refresh candidates if needed, then de-/inflate all of them.
-        Returns the exits used, for the simulation jump memory."""
+        Returns the exits used, for the simulation jump memory.
+
+        A call for which ``_nothing_to_do`` holds is skipped: it only halves
+        the precision, as ``refresh_candidates`` would, and returns the
+        records of the quiet call before it.  The bounds are read only
+        after a quiet call, so a caller whose calls nearly always change a
+        bound pays for the skip with a flag per call."""
+        if self._nothing_to_do(bounds):
+            self.precision = max(self.precision / 2.0, 1e-15)
+            return self._quiet[3]
+        self._quiet = None
         self.refresh_candidates(model, bounds)
         assert self.candidates is not None
         records: list[DeflateRecord] = []
+        quiet = True
         for beneficiary, operate in (
             (Player.MAXIMIZER, deflate),
             (Player.MINIMIZER, inflate),
@@ -455,20 +519,27 @@ class MecTracker:
             seen = {c.key() for c in worklist}
             while worklist:
                 candidate = worklist.pop()
-                _, exits = operate(
+                changed, exits = operate(
                     model, candidate, bounds, self.objective, self.precision,
                     self.staying_cache,
                 )
+                if changed:
+                    quiet = False
                 if exits:
                     records.append(
                         DeflateRecord(candidate.key(), candidate.ec.states, exits[0])
                     )
                 iteration = self.staying_cache.get(candidate.ec.key())
                 if iteration is not None and iteration.hi - iteration.lo > self.precision:
+                    # Later steps in this call may narrow the bracket split
+                    # on; the next call would then split nothing.
+                    quiet = False
                     for sub in split_candidates(model, candidate, iteration):
                         if sub.key() not in seen:
                             seen.add(sub.key())
                             worklist.append(sub)
+        if quiet:
+            self._remember_quiet(model, bounds, records)
         return records
 
     def candidate_keys(self) -> set:
@@ -481,3 +552,4 @@ class MecTracker:
         subsumed by this one (partial-exploration growth)."""
         self.staying_cache.update(other.staying_cache)
         self.precision = min(self.precision, other.precision)
+        self._quiet = None

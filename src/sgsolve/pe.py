@@ -8,6 +8,12 @@ explored region are handled by the same deflate/inflate machinery as the
 complete solver, and the exit used in a deflation is remembered per
 state, so that later simulations jump out of regions whose bounds already
 account for their best exit instead of looping inside them.
+
+The end components are maintained incrementally: a component refresh
+decomposes again only the explored SCCs that hold a state expanded since
+the last refresh, and keeps the trackers of every other MEC, whose
+``process`` is then skipped for as long as nothing it reads has moved
+(see ``MecTracker``).
 """
 
 from __future__ import annotations
@@ -42,11 +48,16 @@ class PartialState:
         hi = objective.value_ceiling()
         self.bounds = BoundsVector([lo] * model.num_states, [hi] * model.num_states)
         self.explored: set[int] = set()
+        # States expanded since the MECs of the explored region were last
+        # brought up to date, and the states passed to ``mec_decompose`` so far.
+        self.added: list[int] = []
+        self.decomposed_states = 0
 
     def expand(self, state: int) -> None:
         if state in self.explored:
             return
         self.explored.add(state)
+        self.added.append(state)
         if self.objective.kind is ObjectiveKind.REACHABILITY:
             if state in self.objective.goal:
                 self.bounds.lb[state] = 1.0
@@ -146,6 +157,34 @@ def _backpropagate(model: GameModel, part: PartialState, path) -> None:
         state_update(model, part.bounds, state)
 
 
+def _changed_region(model: GameModel, explored: set[int], added: list[int]) -> set[int]:
+    """The explored states that are reachable from an added state and can
+    reach one, inside the explored region: the union of the region's SCCs
+    that hold an added state.  A forward search from the added states
+    records the edges it follows; a backward search over those edges
+    from the added states keeps the states on a way back."""
+    reached = set(added)
+    preds: dict[int, list[int]] = {}
+    stack = list(added)
+    while stack:
+        s = stack.pop()
+        for dist in model.actions[s]:
+            for t, _ in dist.support:
+                if t in explored:
+                    preds.setdefault(t, []).append(s)
+                    if t not in reached:
+                        reached.add(t)
+                        stack.append(t)
+    region = set(added)
+    stack = list(added)
+    while stack:
+        for s in preds.get(stack.pop(), ()):
+            if s not in region:
+                region.add(s)
+                stack.append(s)
+    return region
+
+
 def _refresh_components(
     model: GameModel,
     part: PartialState,
@@ -155,27 +194,45 @@ def _refresh_components(
     use_memory: bool,
     epsilon: float,
 ) -> list[MecTracker]:
-    """Re-run MEC search on the explored region; carry over tracker caches
-    whose components persist or grew, then de-/inflate every component
-    that is not yet settled.  A settled component's memory entries are
-    left as they are: ``sample_path`` stops at its states (gap below
-    ``2 * epsilon``) before it reads the memory."""
-    decomposition = mec_decompose(model, restrict_to=part.explored)
-    old_by_key = {tracker.mec.key(): tracker for tracker in trackers}
-    old_by_state: dict[int, MecTracker] = {}
-    for tracker in trackers:
-        for s in tracker.mec.states:
-            old_by_state[s] = tracker
-    fresh: list[MecTracker] = []
-    for mec in decomposition.mecs:
-        tracker = old_by_key.get(mec.key())
-        if tracker is None:
-            tracker = MecTracker(mec, objective)
-            for s in mec.states:
-                old = old_by_state.get(s)
-                if old is not None:
-                    tracker.absorb(old)
-        fresh.append(tracker)
+    """Bring the MECs of the explored region up to date, then de-/inflate
+    every component that is not yet settled.
+
+    ``trackers`` hold the MECs of the region as it was at the last call.
+    Only the region's SCCs that hold a state expanded since then are
+    decomposed again: any other SCC was an SCC then, with the same
+    internal edges, so its MECs and their trackers stand as they are.  A
+    decomposed MEC keeps the tracker of an equal old one; a new MEC gets a
+    new tracker that absorbs the caches of the old ones it overlaps.  The
+    result equals ``mec_decompose(model, restrict_to=part.explored)``,
+    in its order.  A settled component's memory entries are left as they
+    are: ``sample_path`` stops at its states (gap below ``2 * epsilon``)
+    before it reads the memory."""
+    fresh = trackers
+    if part.added:
+        region = _changed_region(model, part.explored, part.added)
+        part.added = []
+        part.decomposed_states += len(region)
+        fresh = []
+        old_by_key: dict[tuple, MecTracker] = {}
+        old_by_state: dict[int, MecTracker] = {}
+        for tracker in trackers:
+            # A MEC lies inside one SCC, so it is in the region or outside it.
+            if next(iter(tracker.mec.states)) not in region:
+                fresh.append(tracker)
+                continue
+            old_by_key[tracker.mec.key()] = tracker
+            for s in tracker.mec.states:
+                old_by_state[s] = tracker
+        for mec in mec_decompose(model, restrict_to=region).mecs:
+            tracker = old_by_key.get(mec.key())
+            if tracker is None:
+                tracker = MecTracker(mec, objective)
+                for s in mec.states:
+                    old = old_by_state.get(s)
+                    if old is not None:
+                        tracker.absorb(old)
+            fresh.append(tracker)
+        fresh.sort(key=lambda tracker: min(tracker.mec.states))
     for tracker in fresh:
         if tracker.settled(part.bounds, epsilon):
             continue
@@ -217,9 +274,15 @@ def solve_pe(
 
     ``use_deflate_memory`` disables the jump-to-recorded-exit fix; without
     it, simulations can keep looping inside an end component whose bounds
-    are already fully deflated and the path budget runs out."""
+    are already fully deflated and the path budget runs out.  A
+    ``max_paths`` below 1 raises ValueError.  ``stats`` holds the seed,
+    the number of component refreshes (``refreshes``) and the total size
+    of the regions they passed to ``mec_decompose``
+    (``decomposed_states``)."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
+    if not max_paths >= 1:
+        raise ValueError(f"max_paths must be at least 1, got {max_paths}")
     query = prepare(model, objective)
     work = query.model
 
@@ -229,12 +292,14 @@ def solve_pe(
     memory: Memory = {}
     trackers: list[MecTracker] = []
     paths = 0
+    refreshes = 0
     done = False
     while paths < max_paths and not done:
         paths += 1
         path, looped = sample_path(work, part, memory, rng, epsilon)
         _backpropagate(work, part, path)
         if looped or paths % COMPONENT_SEARCH_PERIOD == 0:
+            refreshes += 1
             trackers = _refresh_components(
                 work, part, query.objective, trackers, memory, use_deflate_memory,
                 epsilon,
@@ -257,5 +322,9 @@ def solve_pe(
         converged=done,
         bounds=bounds,
         state_map=tuple(range(model.num_states)),
-        stats={"seed": seed},
+        stats={
+            "seed": seed,
+            "refreshes": refreshes,
+            "decomposed_states": part.decomposed_states,
+        },
     ))

@@ -200,6 +200,13 @@ def test_bad_epsilon_rejected():
         solve_ce(model, Objective.mean_payoff(model), epsilon=float("nan"), max_sweeps=10)
 
 
+def test_sweep_budget_below_one_rejected():
+    model, labels = fig2_chain(2)
+    for budget in (0, -5):
+        with pytest.raises(ValueError):
+            solve_ce(model, Objective.reachability(labels["goal"]), max_sweeps=budget)
+
+
 def test_state_map_tracks_collapsing():
     model, labels = fig2_chain(2)
     result = solve_ce(model, Objective.reachability(labels["goal"]))

@@ -149,6 +149,17 @@ def test_budget_exhaustion_exit_code(capsys):
     assert doc["lower"] <= 0.125 <= doc["upper"]
 
 
+@pytest.mark.parametrize("mode", ["ce", "pe"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_is_usage_error(capsys, mode, budget):
+    code = run(["--generate", "fig2chain", "--param", "k=3", "--goal", "goal",
+                "--mode", mode, "--max-iterations", budget])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be at least 1" in captured.err
+
+
 def test_json_schema(capsys):
     _, doc = run_json(
         capsys,

@@ -5,9 +5,10 @@ import math
 
 import pytest
 
-from conftest import MAX, MIN, dirac, random_game, split_value_mec_model
+from conftest import MAX, MIN, dirac, random_game, random_objective, split_value_mec_model
 from sgsolve import ecsolve
 from sgsolve.bounds import BoundsVector, state_update
+from sgsolve.ce import solve_ce
 from sgsolve.ecsolve import (
     MecTracker,
     SecCandidate,
@@ -23,6 +24,7 @@ from sgsolve.graph import EndComponent, mec_decompose
 from sgsolve.model import build_game
 from sgsolve.objectives import Objective
 from sgsolve.oracle import SingularSystem, TooLarge, game_value_bruteforce
+from sgsolve.pe import solve_pe
 
 
 def reach_obj(goal):
@@ -440,3 +442,101 @@ class TestRefreshCandidates:
             made += m
             all_four += a
         assert 0 < made < all_four
+
+
+def fingerprint(result):
+    return (
+        bits([result.lower, result.upper]),
+        result.iterations,
+        result.states_explored,
+        bits(result.bounds.lb),
+        bits(result.bounds.ub),
+    )
+
+
+class TestProcessSkip:
+    """A skipped ``process`` call must be one that would have changed
+    nothing: solves with the skip and without it agree bit for bit."""
+
+    def count_skips(self, monkeypatch):
+        real = MecTracker._nothing_to_do
+        calls = []
+
+        def counting(tracker, bounds):
+            calls.append(real(tracker, bounds))
+            return calls[-1]
+
+        monkeypatch.setattr(MecTracker, "_nothing_to_do", counting)
+        return calls
+
+    def solves(self, cases):
+        return [
+            (
+                fingerprint(solve_ce(model, objective, max_sweeps=1_000)),
+                fingerprint(solve_pe(model, objective, seed=seed, max_paths=1_000)),
+            )
+            for model, objective, seed in cases
+        ]
+
+    def assert_exact(self, monkeypatch, cases):
+        skips = self.count_skips(monkeypatch)
+        with_skip = self.solves(cases)
+        monkeypatch.setattr(MecTracker, "_nothing_to_do", lambda tracker, bounds: False)
+        assert self.solves(cases) == with_skip
+        return sum(skips)
+
+    def test_exact_on_random_games(self, monkeypatch, rng):
+        cases = []
+        for _ in range(200):
+            model = random_game(rng, max_states=8)
+            cases.append((model, random_objective(rng, model), rng.randrange(1000)))
+        assert self.assert_exact(monkeypatch, cases) > 0
+
+    def test_exact_on_families(self, monkeypatch):
+        cases = []
+        for family, params in (("treemulsec", {"n": 5}), ("fig2chain", {"k": 6})):
+            model, labels = generate(family, **params)
+            if "goal" in labels:
+                objective = Objective.reachability(labels["goal"])
+            else:
+                objective = Objective.mean_payoff(model)
+            cases.append((model, objective, 1))
+        assert self.assert_exact(monkeypatch, cases) > 0
+
+    def test_a_call_that_splits_licenses_no_skip(self, monkeypatch):
+        """The bracket a candidate was split on can narrow later in the
+        same call, when another candidate over the same end component runs
+        more staying steps.  The next call then splits nothing, so it must
+        run rather than repeat the records of the split."""
+        real_inflate = ecsolve.inflate
+
+        def narrowing_inflate(model, candidate, bounds, objective, precision, cache):
+            for iteration in cache.values():
+                iteration.lo = iteration.hi
+            return real_inflate(model, candidate, bounds, objective, precision, cache)
+
+        monkeypatch.setattr(ecsolve, "inflate", narrowing_inflate)
+
+        def two_calls():
+            model = split_value_mec_model()
+            (mec,) = mec_decompose(model).mecs
+            tracker = MecTracker(mec, Objective.mean_payoff(model))
+            bounds = BoundsVector([5.0, 5.0], [5.0, 5.0])
+            calls = [
+                [(r.candidate_key, r.exit) for r in tracker.process(model, bounds)]
+                for _ in range(2)
+            ]
+            assert bounds == BoundsVector([5.0, 5.0], [5.0, 5.0])
+            return calls
+
+        first, second = two_calls()
+        assert len(second) < len(first)
+        monkeypatch.setattr(MecTracker, "_nothing_to_do", lambda tracker, bounds: False)
+        assert two_calls() == [first, second]
+
+    def test_fires_on_most_pe_calls(self, monkeypatch):
+        model, _ = generate("treemulsec", n=5)
+        skips = self.count_skips(monkeypatch)
+        result = solve_pe(model, Objective.mean_payoff(model), seed=1)
+        assert result.converged
+        assert sum(skips) >= 0.8 * len(skips)

@@ -2,10 +2,12 @@
 
 import pytest
 
-from conftest import random_game, random_objective
+from conftest import random_game, random_objective, relabelled
+from sgsolve import pe
 from sgsolve.ce import solve_ce
 from sgsolve.ecsolve import MecTracker
 from sgsolve.generators import fig1_left, fig1_right, fig2_chain, generate
+from sgsolve.graph import mec_decompose
 from sgsolve.objectives import LabelMismatch, Objective
 from sgsolve.oracle import SingularSystem, TooLarge, game_value_bruteforce
 from sgsolve.pe import solve_pe
@@ -197,3 +199,68 @@ def test_settled_components_are_not_processed(monkeypatch, family, params, refer
     if reference is None:
         reference = game_value_bruteforce(model, objective, model.initial)
     assert result.lower - 1e-12 <= reference <= result.upper + 1e-12
+
+
+def test_path_budget_below_one_rejected():
+    model, labels = fig2_chain(2)
+    for budget in (0, -5):
+        with pytest.raises(ValueError):
+            solve_pe(model, Objective.reachability(labels["goal"]), max_paths=budget)
+
+
+def objective_for(model, labels):
+    if "goal" in labels:
+        return Objective.reachability(labels["goal"])
+    return Objective.mean_payoff(model)
+
+
+@pytest.fixture
+def checked_refreshes(monkeypatch):
+    """Checks every component refresh against a decomposition of the whole
+    explored region, and collects the number of MECs after each."""
+    real = pe._refresh_components
+    seen = []
+
+    def refresh(model, part, *args):
+        trackers = real(model, part, *args)
+        expected = mec_decompose(model, restrict_to=part.explored).mecs
+        assert [t.mec.key() for t in trackers] == [m.key() for m in expected]
+        seen.append(len(trackers))
+        return trackers
+
+    monkeypatch.setattr(pe, "_refresh_components", refresh)
+    return seen
+
+
+class TestIncrementalComponents:
+    def test_matches_full_decomposition_on_random_games(self, checked_refreshes, rng):
+        with_mecs = 0
+        for _ in range(200):
+            model = random_game(rng, max_states=8)
+            objective = random_objective(rng, model)
+            checked_refreshes.clear()
+            result = solve_pe(model, objective, seed=rng.randrange(1000), max_paths=300)
+            assert result.stats["refreshes"] == len(checked_refreshes)
+            with_mecs += any(checked_refreshes)
+        assert with_mecs >= 50
+
+    @pytest.mark.parametrize(
+        "family, params",
+        [("treemulsec", {"n": 4}), ("fig2chain", {"k": 5}), ("treebigmec", {"n": 3})],
+    )
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_full_decomposition_on_relabelled_families(
+        self, checked_refreshes, family, params, seed
+    ):
+        model, labels = relabelled(*generate(family, **params), seed)
+        result = solve_pe(model, objective_for(model, labels), seed=seed)
+        assert result.converged
+        assert result.stats["refreshes"] == len(checked_refreshes)
+        assert any(checked_refreshes)
+
+    def test_each_state_is_decomposed_about_once(self):
+        model, _ = generate("treemulsec", n=7)
+        result = solve_pe(model, Objective.mean_payoff(model), seed=7)
+        assert result.converged
+        assert result.stats["refreshes"] > 0
+        assert result.stats["decomposed_states"] <= 2 * result.states_explored
