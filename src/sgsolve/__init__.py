@@ -17,7 +17,6 @@ from .model import (
     ModelError,
     Player,
     build_game,
-    collapse,
     induced_mdp,
 )
 from .objectives import Objective, ObjectiveKind, Query, init_bounds, prepare, reach_as_meanpayoff
@@ -44,7 +43,6 @@ __all__ = [
     "Strategy",
     "attractor",
     "build_game",
-    "collapse",
     "converged",
     "extract_strategy",
     "generate",

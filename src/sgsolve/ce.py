@@ -1,8 +1,9 @@
 """Complete-exploration solver: interval iteration over the strongly
 connected components of the whole game, sinks first, with qualitative
-precomputation (a reachability query's value-1 and value-0 regions are
-merged into one state each) and deflate/inflate handling of every end
-component.
+precomputation (the states of a reachability query that it settles at
+value 1 or 0 are made absorbing, so no end component spans one) and
+deflate/inflate handling of every end component.  State ids are those of
+the caller's model throughout.
 
 A pass visits the unresolved components in reverse topological order, so
 a component is updated after everything it can reach.  A round of a
@@ -23,27 +24,13 @@ from typing import Callable, Optional
 from .bounds import BoundsVector, converged, midpoint, state_update
 from .ecsolve import MecTracker
 from .graph import mec_decompose, scc_decompose
-from .model import GameModel, collapse
-from .objectives import Objective, ObjectiveKind, init_bounds, prepare
+from .model import GameModel
+from .objectives import Objective, init_bounds, prepare
 from .result import SolveResult
 
 Instrument = Callable[[int, GameModel, BoundsVector], None]
 
 DEFAULT_MAX_SWEEPS = 10_000_000
-
-
-def _merge_bounds(bounds: BoundsVector, cmap, new_n: int) -> BoundsVector:
-    lb = [float("-inf")] * new_n
-    ub = [float("inf")] * new_n
-    for old in range(len(bounds)):
-        new = cmap(old)
-        lb[new] = max(lb[new], bounds.lb[old])
-        ub[new] = min(ub[new], bounds.ub[old])
-    for s in range(new_n):
-        if lb[s] > ub[s]:
-            mid = 0.5 * (lb[s] + ub[s])
-            lb[s] = ub[s] = mid
-    return BoundsVector(lb, ub)
 
 
 def solve_ce(
@@ -73,10 +60,10 @@ def solve_ce(
     original state numbering and the caller's orientation, and required to
     be sound); a vector without one entry per state, or with an entry that
     is NaN or has ``lb > ub``, raises ValueError.  ``enable_deflation``
-    switches the deflate/inflate handling of end components and
-    ``enable_collapse`` the merge of the value-1 and the value-0 region of
-    a reachability query; both exist to study the untreated fixpoint
-    behaviour."""
+    switches the deflate/inflate handling of end components, to study the
+    untreated fixpoint behaviour.  ``enable_collapse`` is accepted for
+    compatibility and ignored: the value-1 and value-0 regions of a
+    reachability query are always made absorbing."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not max_sweeps >= 1:
@@ -91,43 +78,29 @@ def solve_ce(
                     f"initial bounds of state {s} are not an interval: [{lb[s]}, {ub[s]}]"
                 )
     query = prepare(model, objective)
-    work = query.model
-    mapping = list(range(model.num_states))
-    is_reach = not objective.is_mean_payoff
-    # The value-1 and value-0 regions are read off the initial bounds, which
-    # pin them (the goal and avoid states alone without ``qualitative``).
-    bounds = init_bounds(work, query.objective, qualitative)
-    pinned_one = pinned_zero = frozenset()
-    if is_reach:
+    work, working_objective = query.model, query.objective
+    bounds = init_bounds(work, working_objective, qualitative)
+    if not objective.is_mean_payoff:
+        # The states the initial bounds pin to 1 or 0 (the goal and avoid
+        # states alone without ``qualitative``) are made absorbing, so that
+        # no end component spans a settled state.
         pinned_one = frozenset(s for s in work.states() if bounds.lb[s] == 1.0)
         pinned_zero = frozenset(s for s in work.states() if bounds.ub[s] == 0.0)
+        absorbed = prepare(work, Objective.reachability(pinned_one, pinned_zero))
+        work, working_objective = absorbed.model, absorbed.objective
     if initial_bounds is not None:
         bounds = query.orient(initial_bounds).copy()
-
-    if enable_collapse:
-        sets = [pinned for pinned in (pinned_one, pinned_zero) if len(pinned) > 1]
-        if sets:
-            work, cmap = collapse(work, sets, [[] for _ in sets])
-            mapping = [cmap(m) for m in mapping]
-            pinned_one = frozenset(cmap(s) for s in pinned_one)
-            pinned_zero = frozenset(cmap(s) for s in pinned_zero)
-            bounds = _merge_bounds(bounds, cmap, work.num_states)
-
-    if is_reach:
-        working_objective = Objective(
-            ObjectiveKind.REACHABILITY, goal=pinned_one, avoid=pinned_zero
-        )
-    else:
-        working_objective = query.objective
 
     components = scc_decompose(work)
     trackers: list[list[MecTracker]] = [[] for _ in components]
     if enable_deflation:
-        home = {s: i for i, states in enumerate(components) for s in states}
-        for mec in mec_decompose(work).mecs:
-            trackers[home[min(mec.states)]].append(MecTracker(mec, working_objective))
+        # A MEC lies inside one SCC, so a search per SCC finds them all.
+        trackers = [
+            [MecTracker(mec, working_objective) for mec in mec_decompose(work, c).mecs]
+            for c in components
+        ]
 
-    start = mapping[model.initial]
+    start = model.initial
     lb, ub = bounds.lb, bounds.ub
     rounds = [0] * len(components)
     pending = list(range(len(components)))
@@ -175,6 +148,6 @@ def solve_ce(
         states_explored=model.num_states,
         converged=done,
         bounds=bounds,
-        state_map=tuple(mapping),
+        state_map=tuple(range(model.num_states)),
         stats={"working_states": work.num_states},
     ))

@@ -361,8 +361,8 @@ class MecTracker:
 
     A ``process`` call that changes no bound and splits no candidate is
     quiet.  After one, the tracker keeps the bounds that processing reads
-    (those of the MEC's states and of all their successors) and the
-    records it returned, until the next call that is not skipped.
+    (those of the MEC's states and of all their successors) until the
+    next call that is not skipped.
     """
 
     def __init__(self, mec: EndComponent, objective: Objective):
@@ -374,11 +374,9 @@ class MecTracker:
         self.candidates: Optional[dict[Player, list[SecCandidate]]] = None
         self._signature: Optional[tuple] = None
         self._reads: Optional[list[int]] = None
-        # After a quiet call: the lb and ub of ``_reads``, the widest cached
-        # staying bracket of the candidates, and the records returned.
-        self._quiet: Optional[
-            tuple[list[float], list[float], float, list[DeflateRecord]]
-        ] = None
+        # After a quiet call: the lb and ub of ``_reads`` and the widest
+        # cached staying bracket of the candidates.
+        self._quiet: Optional[tuple[list[float], list[float], float]] = None
 
     def _recommender_signature(self, model: GameModel, bounds: BoundsVector) -> tuple:
         """Per-state optimal action sets under each bound.  Candidates are
@@ -462,7 +460,7 @@ class MecTracker:
         picks the same exits."""
         if self._quiet is None:
             return False
-        lb_seen, ub_seen, width, _ = self._quiet
+        lb_seen, ub_seen, width = self._quiet
         if width > max(self.precision / 2.0, 1e-15):
             return False
         reads = self._reads
@@ -471,9 +469,7 @@ class MecTracker:
             and list(map(bounds.ub.__getitem__, reads)) == ub_seen
         )
 
-    def _remember_quiet(
-        self, model: GameModel, bounds: BoundsVector, records: list[DeflateRecord]
-    ) -> None:
+    def _remember_quiet(self, model: GameModel, bounds: BoundsVector) -> None:
         if self._reads is None:
             reads = set(self.mec.states)
             for s in self.mec.states:
@@ -491,21 +487,23 @@ class MecTracker:
             list(map(bounds.lb.__getitem__, self._reads)),
             list(map(bounds.ub.__getitem__, self._reads)),
             max(widths, default=-math.inf),
-            records,
         )
 
-    def process(self, model: GameModel, bounds: BoundsVector) -> list[DeflateRecord]:
+    def process(
+        self, model: GameModel, bounds: BoundsVector
+    ) -> Optional[list[DeflateRecord]]:
         """Refresh candidates if needed, then de-/inflate all of them.
         Returns the exits used, for the simulation jump memory.
 
         A call for which ``_nothing_to_do`` holds is skipped: it only halves
-        the precision, as ``refresh_candidates`` would, and returns the
-        records of the quiet call before it.  The bounds are read only
-        after a quiet call, so a caller whose calls nearly always change a
-        bound pays for the skip with a flag per call."""
+        the precision, as ``refresh_candidates`` would, and returns None
+        instead of repeating the records of the quiet call before it.  The
+        bounds are read only after a quiet call, so a caller whose calls
+        nearly always change a bound pays for the skip with a flag per
+        call."""
         if self._nothing_to_do(bounds):
             self.precision = max(self.precision / 2.0, 1e-15)
-            return self._quiet[3]
+            return None
         self._quiet = None
         self.refresh_candidates(model, bounds)
         assert self.candidates is not None
@@ -539,7 +537,7 @@ class MecTracker:
                             seen.add(sub.key())
                             worklist.append(sub)
         if quiet:
-            self._remember_quiet(model, bounds, records)
+            self._remember_quiet(model, bounds)
         return records
 
     def candidate_keys(self) -> set:

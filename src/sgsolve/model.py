@@ -3,9 +3,8 @@
 States are dense integer ids.  Every state is owned by one of the two
 players, carries a real-valued reward and a non-empty list of actions,
 each of which is a probability distribution over successor states.
-Models are immutable after construction; structural transformations
-(collapsing state sets, fixing a player's strategy) produce fresh models
-together with a remap table.
+Models are immutable after construction; fixing a player's strategy
+produces a fresh model over the same state ids.
 """
 
 from __future__ import annotations
@@ -55,17 +54,6 @@ class DanglingTarget(ModelError):
         self.state = state
         self.action = action
         self.target = target
-
-
-class OverlappingSets(ModelError):
-    pass
-
-
-class ForeignAction(ModelError):
-    def __init__(self, state: int, action: int):
-        super().__init__(f"action ({state}, {action}) does not originate in its set")
-        self.state = state
-        self.action = action
 
 
 class MissingChoice(ModelError):
@@ -119,17 +107,6 @@ class Distribution:
 
     def expectation(self, values: Sequence[float]) -> float:
         return sum(p * values[t] for t, p in self.support)
-
-
-@dataclass(frozen=True)
-class CollapseMap:
-    """Maps state ids of the pre-collapse model onto the collapsed one."""
-
-    representative: tuple[int, ...]
-    collapsed_sets: tuple[frozenset[int], ...]
-
-    def __call__(self, state: int) -> int:
-        return self.representative[state]
 
 
 @dataclass(frozen=True)
@@ -213,97 +190,6 @@ def build_game(
         rewards=tuple(float(r) for r in rewards),
         initial=initial,
     )
-
-
-def collapse(
-    model: GameModel,
-    sets: Sequence[Iterable[int]],
-    exit_actions: Sequence[Sequence[tuple[int, int]]],
-) -> tuple[GameModel, CollapseMap]:
-    """Merge each given state set into a single representative state.
-
-    The representative takes the owner and reward of the set's smallest
-    member.  For every set, the retained exit actions are carried over to
-    the representative with their in-set probability mass redirected onto
-    the representative itself.  An exit action that becomes a pure
-    self-loop is dropped unless it is the only retained action.  A set
-    with an empty exit list is made absorbing via a fresh self-loop.
-    Raises ModelError on an empty set or a state id the model lacks.
-
-    Returns the new model and the old-to-new state remap.
-    """
-    frozen_sets = [frozenset(s) for s in sets]
-    if len(frozen_sets) != len(exit_actions):
-        raise ModelError("sets and exit_actions must align")
-    seen: set[int] = set()
-    for s in frozen_sets:
-        if not s:
-            raise ModelError("cannot collapse an empty state set")
-        for state in s:
-            if not 0 <= state < model.num_states:
-                raise ModelError(f"cannot collapse unknown state {state}")
-        if s & seen:
-            raise OverlappingSets(f"state sets overlap on {sorted(s & seen)}")
-        seen |= s
-    for members, exits in zip(frozen_sets, exit_actions):
-        for state, action in exits:
-            if state not in members:
-                raise ForeignAction(state, action)
-            if not 0 <= action < model.num_actions(state):
-                raise ForeignAction(state, action)
-
-    set_of_state: dict[int, int] = {}
-    for idx, members in enumerate(frozen_sets):
-        for state in members:
-            set_of_state[state] = idx
-
-    # New ids: untouched states keep relative order; each set is placed at
-    # the position of its smallest member.
-    anchor: dict[int, int] = {min(m): i for i, m in enumerate(frozen_sets)}
-    new_id: list[int] = [-1] * model.num_states
-    order: list[tuple[str, int]] = []
-    for state in model.states():
-        if state in set_of_state:
-            if state in anchor:
-                order.append(("set", anchor[state]))
-        else:
-            order.append(("state", state))
-    rep_of_set: dict[int, int] = {}
-    for pos, (kind, ref) in enumerate(order):
-        if kind == "state":
-            new_id[ref] = pos
-        else:
-            rep_of_set[ref] = pos
-    for state, idx in set_of_state.items():
-        new_id[state] = rep_of_set[idx]
-
-    def remap(dist: Distribution) -> Distribution:
-        return Distribution.of((new_id[t], p) for t, p in dist.support)
-
-    owners: list[Player] = []
-    action_lists: list[list[Distribution]] = []
-    rewards: list[float] = []
-    for pos, (kind, ref) in enumerate(order):
-        if kind == "state":
-            owners.append(model.owner(ref))
-            rewards.append(model.rewards[ref])
-            action_lists.append([remap(d) for d in model.actions[ref]])
-            continue
-        first = min(frozen_sets[ref])
-        owners.append(model.owner(first))
-        rewards.append(model.rewards[first])
-        retained: list[Distribution] = []
-        for state, action in exit_actions[ref]:
-            mapped = remap(model.distribution(state, action))
-            if mapped.is_self_loop(pos) and len(exit_actions[ref]) > 1:
-                continue
-            retained.append(mapped)
-        if not retained:
-            retained.append(Distribution.dirac(pos))
-        action_lists.append(retained)
-
-    collapsed = build_game(owners, action_lists, rewards, new_id[model.initial])
-    return collapsed, CollapseMap(tuple(new_id), tuple(frozen_sets))
 
 
 def induced_mdp(

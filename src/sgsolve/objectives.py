@@ -32,8 +32,9 @@ class Objective:
     Reachability carries a goal set and an optional avoid set; safety an
     unsafe set (solved internally as reachability of the unsafe set by
     the swapped players, value = 1 - reach value); mean payoff carries
-    the minimum and maximum reward occurring in the model, which double
-    as the a-priori value bounds.
+    a range [rmin, rmax] holding every reward of the model, which doubles
+    as the a-priori value bounds (``mean_payoff`` takes the model's own
+    minimum and maximum reward).
     """
 
     kind: ObjectiveKind
@@ -112,12 +113,20 @@ def prepare(model: GameModel, objective: Objective) -> Query:
     """Check the objective's state ids against the model and bring the
     query into solver form (see ``Query``).  Raises LabelMismatch on an
     unknown state id, on overlapping goal and avoid sets and on an empty
-    goal or unsafe set.  A mean-payoff query keeps the model as it is."""
+    goal or unsafe set.  A mean-payoff query keeps the model as it is; its
+    range must hold every reward of the model, else the a-priori bounds
+    are unsound and ValueError is raised."""
     _check_labels(model, objective.goal)
     _check_labels(model, objective.avoid)
     if objective.goal & objective.avoid:
         raise LabelMismatch("goal and avoid sets overlap")
     if objective.is_mean_payoff:
+        lo, hi = model.reward_range()
+        if not (objective.rmin <= lo and hi <= objective.rmax):
+            raise ValueError(
+                f"mean-payoff range [{objective.rmin}, {objective.rmax}] does not "
+                f"hold the rewards [{lo}, {hi}]"
+            )
         return Query(model, objective)
     owners = model.owners
     dualized = objective.kind is ObjectiveKind.SAFETY

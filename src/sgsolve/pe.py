@@ -237,6 +237,10 @@ def _refresh_components(
         if tracker.settled(part.bounds, epsilon):
             continue
         records = tracker.process(model, part.bounds)
+        if records is None:
+            # Skipped: the tracker's last call was quiet and its records,
+            # which this call would repeat, are in the memory already.
+            continue
         valid = tracker.candidate_keys() | {r.candidate_key for r in records}
         for s in tracker.mec.states:
             if s in memory:

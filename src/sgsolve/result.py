@@ -16,10 +16,11 @@ class SolveResult:
     state, whether or not the run converged within its budget; ``value``
     is their midpoint.  ``bounds`` and ``state_map`` expose the final
     per-state bounds of the internal working model: ``state_map[s]`` is
-    the working-model id of original state ``s``.  Both solvers always
-    set ``bounds``, oriented like the caller's objective: for safety they
-    bound the safety value, so ``bounds.lb[state_map[initial]] == lower``,
-    and ``stats["dualized"]`` is True.
+    the working-model id of original state ``s``, which both solvers keep,
+    so ``state_map`` is the identity.  Both solvers always set ``bounds``,
+    oriented like the caller's objective: for safety they bound the safety
+    value, so ``bounds.lb[state_map[initial]] == lower``, and
+    ``stats["dualized"]`` is True.
     """
 
     value: float

@@ -18,7 +18,7 @@ from sgsolve.bounds import BoundsVector, state_update
 from sgsolve.ce import solve_ce
 from sgsolve.generators import fig1_left, fig1_right, fig2_chain, generate
 from sgsolve.model import build_game
-from sgsolve.objectives import LabelMismatch, Objective
+from sgsolve.objectives import LabelMismatch, Objective, ObjectiveKind
 from sgsolve.oracle import SingularSystem, TooLarge, game_value_bruteforce
 from sgsolve.pe import solve_pe
 
@@ -85,15 +85,6 @@ def test_agrees_with_oracle(rng):
         result = solve_ce(model, objective)
         assert result.converged
         assert abs(result.value - values[model.initial]) <= 1e-6
-
-
-def test_collapse_toggle_agrees(rng):
-    for model, objective, values in oracle_instances(rng, 20):
-        plain = solve_ce(model, objective, enable_collapse=False)
-        collapsed = solve_ce(model, objective, enable_collapse=True)
-        assert plain.converged and collapsed.converged
-        assert abs(plain.value - collapsed.value) <= 2e-6
-        assert abs(plain.value - values[model.initial]) <= 1e-6
 
 
 def test_qualitative_toggle_agrees(rng):
@@ -207,13 +198,59 @@ def test_sweep_budget_below_one_rejected():
             solve_ce(model, Objective.reachability(labels["goal"]), max_sweeps=budget)
 
 
-def test_state_map_tracks_collapsing():
+def test_state_map_is_identity():
     model, labels = fig2_chain(2)
     result = solve_ce(model, Objective.reachability(labels["goal"]))
     assert result.state_map is not None
     assert len(result.state_map) == model.num_states
     (goal,) = labels["goal"]
     assert result.bounds.lb[result.state_map[goal]] == 1.0
+    # The value-1 and value-0 regions stay in the working model as
+    # absorbing states.
+    model, labels = generate("dicerace", target=10)
+    n = model.num_states
+    for objective in (
+        Objective.reachability(labels["goal"]),
+        Objective.safety(labels["goal"]),
+        Objective.mean_payoff(model),
+    ):
+        result = solve_ce(model, objective)
+        assert result.converged
+        assert result.state_map == tuple(range(n))
+        assert result.stats["working_states"] == n
+
+
+def value_one_exit_game():
+    """Minimizer state 0 moves to 1 or 2.  Maximizer state 1 moves back to
+    0 or hits goal 3 or sink 4 with probability 1/2 each; Maximizer state 2
+    moves back to 0 or to the goal.  State 2 has value 1 and lies in the
+    end component {0, 1, 2} of the game; the value of 0 is 1/2."""
+    return build_game(
+        [MIN, MAX, MAX, MAX, MAX],
+        [
+            (dirac(1), dirac(2)),
+            (dirac(0), dist((3, 0.5), (4, 0.5))),
+            (dirac(0), dirac(3)),
+            (dirac(3),),
+            (dirac(4),),
+        ],
+        [0.0] * 5,
+        0,
+    )
+
+
+def test_value_one_state_leaves_no_end_component_to_span():
+    # Made absorbing, the value-1 state 2 ends the end component at {0, 1},
+    # in which staying is worth 0 to Maximizer.
+    model = value_one_exit_game()
+    objective = Objective.reachability({3})
+    assert game_value_bruteforce(model, objective, model.initial) == 0.5
+    working = []
+    result = solve_ce(model, objective, instrument=lambda _, work, __: working.append(work))
+    assert working and all(work.is_absorbing(2) for work in working)
+    assert result.converged
+    assert result.lower == result.upper == result.value == 0.5
+    assert result.stats["working_states"] == model.num_states
 
 
 def cycle_exit_game(owner):
@@ -258,6 +295,26 @@ def test_single_controller_cycle_is_deflated_not_merged(model, objective, value)
         assert abs(result.value - exact) <= 1e-6
         assert result.lower - 1e-12 <= exact <= result.upper + 1e-12
     assert ce.stats["working_states"] == model.num_states
+
+
+@pytest.mark.parametrize(
+    "rmin, rmax",
+    [(0.0, 1.0), (4.0, 10.0), (float("nan"), 10.0), (0.0, float("nan"))],
+)
+def test_unsound_mean_payoff_range_rejected(rmin, rmax):
+    # The rewards are 3 and 5, and the value is 5.
+    model = cycle_exit_game(MAX)
+    objective = Objective(ObjectiveKind.MEAN_PAYOFF, rmin=rmin, rmax=rmax)
+    with pytest.raises(ValueError, match="mean-payoff range"):
+        solve_ce(model, objective, max_sweeps=10)
+
+
+def test_looser_mean_payoff_range_is_accepted():
+    model = cycle_exit_game(MAX)
+    objective = Objective(ObjectiveKind.MEAN_PAYOFF, rmin=-1.0, rmax=10.0)
+    result = solve_ce(model, objective)
+    assert result.converged
+    assert result.lower - 1e-12 <= 5.0 <= result.upper + 1e-12
 
 
 def counted_updates(monkeypatch) -> list[int]:

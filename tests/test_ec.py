@@ -503,6 +503,18 @@ class TestProcessSkip:
             cases.append((model, objective, 1))
         assert self.assert_exact(monkeypatch, cases) > 0
 
+    def test_skipped_call_returns_no_records(self):
+        # The records of the quiet call before a skip are the caller's
+        # already; a skip hands back None instead of repeating them.
+        model, _ = fig1_left()
+        loop = mec_decompose(model).mecs[1]
+        tracker = MecTracker(loop, Objective.mean_payoff(model))
+        bounds = BoundsVector([5.0, 5.0], [5.0, 5.0])
+        (record,) = tracker.process(model, bounds)
+        assert record.exit == (1, 1)
+        assert tracker.process(model, bounds) is None
+        assert bounds == BoundsVector([5.0, 5.0], [5.0, 5.0])
+
     def test_a_call_that_splits_licenses_no_skip(self, monkeypatch):
         """The bracket a candidate was split on can narrow later in the
         same call, when another candidate over the same end component runs

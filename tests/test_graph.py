@@ -14,6 +14,7 @@ from conftest import (
     dist,
     random_game,
     reflecting_walk,
+    relabelled,
     split_value_mec_model,
 )
 from sgsolve.graph import (
@@ -133,6 +134,26 @@ class TestMecDecompose:
         m = cycle_model()
         decomposition = mec_decompose(m, restrict_to={0, 1})
         assert [mec.states for mec in decomposition.mecs] == [frozenset({0, 1})]
+
+    def test_search_per_scc_finds_every_mec(self, rng):
+        # A MEC lies inside one SCC, so the MECs of the SCCs, in order of
+        # their smallest state, are those of the whole game.
+        games = [random_game(rng, max_states=8) for _ in range(200)]
+        for family, params in (
+            ("treemulsec", {"n": 4}),
+            ("treebigmec", {"n": 3}),
+            ("dicerace", {"target": 8}),
+        ):
+            for seed in (1, 2):
+                games.append(relabelled(*generate(family, **params), seed)[0])
+        for model in games:
+            per_scc = [
+                mec
+                for component in scc_decompose(model)
+                for mec in mec_decompose(model, restrict_to=component).mecs
+            ]
+            per_scc.sort(key=lambda ec: min(ec.states))
+            assert tuple(per_scc) == mec_decompose(model).mecs
 
 
 class TestAttractor:

@@ -1,21 +1,17 @@
-"""Model construction, validation, collapsing and strategy fixing."""
+"""Model construction, validation and strategy fixing."""
 
 import pytest
 
 from conftest import MAX, MIN, chain_model, dirac, dist, loop_exit_model
 from sgsolve.model import (
-    CollapseMap,
     DanglingTarget,
     Distribution,
     DistributionSumError,
     EmptyActionSet,
-    ForeignAction,
     MissingChoice,
     ModelError,
-    OverlappingSets,
     Player,
     build_game,
-    collapse,
     induced_mdp,
 )
 
@@ -101,54 +97,6 @@ class TestBuildGame:
     def test_non_finite_reward_rejected(self, reward):
         with pytest.raises(ModelError, match="non-finite reward"):
             build_game([MAX, MAX], [(dirac(1),), (dirac(1),)], [0.0, reward], 0)
-
-
-class TestCollapse:
-    def test_merge_chain_prefix(self):
-        m = chain_model()
-        merged, cmap = collapse(m, [{0, 1}], [[(1, 0)]])
-        assert merged.num_states == 2
-        assert cmap(0) == cmap(1)
-        rep = cmap(0)
-        # The retained exit leads to the absorbing state.
-        assert merged.distribution(rep, 0).support == ((cmap(2), 1.0),)
-
-    def test_empty_exits_become_absorbing(self):
-        m = chain_model()
-        merged, cmap = collapse(m, [{0, 1}], [[]])
-        assert merged.is_absorbing(cmap(0))
-
-    def test_representative_is_smallest_member(self):
-        m = build_game(
-            [MAX, MIN, MAX],
-            [(dirac(1),), (dirac(2),), (dirac(2),)],
-            [2.0, 7.0, 1.0],
-            0,
-        )
-        merged, cmap = collapse(m, [{1, 2}], [[]])
-        assert merged.owner(cmap(1)) is MIN
-        assert merged.rewards[cmap(1)] == 7.0
-
-    @pytest.mark.parametrize("members", [set(), {0, 5}, {-1, 0}])
-    def test_empty_or_unknown_set_rejected(self, members):
-        with pytest.raises(ModelError, match="collapse"):
-            collapse(chain_model(), [members], [[]])
-
-    def test_overlapping_sets_rejected(self):
-        m = chain_model()
-        with pytest.raises(OverlappingSets):
-            collapse(m, [{0, 1}, {1, 2}], [[], []])
-
-    def test_foreign_exit_rejected(self):
-        m = chain_model()
-        with pytest.raises(ForeignAction):
-            collapse(m, [{0, 1}], [[(2, 0)]])
-
-    def test_remap_is_callable(self):
-        m = chain_model()
-        _, cmap = collapse(m, [{0, 1}], [[]])
-        assert isinstance(cmap, CollapseMap)
-        assert cmap.collapsed_sets == (frozenset({0, 1}),)
 
 
 class TestInducedMdp:

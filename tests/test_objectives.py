@@ -127,6 +127,20 @@ class TestPrepare:
         with pytest.raises(LabelMismatch):
             prepare(chain_model(), objective)
 
+    @pytest.mark.parametrize(
+        "rmin, rmax",
+        [(0.0, 1.0), (4.5, 10.0), (0.0, 4.5), (float("nan"), 10.0), (0.0, float("nan"))],
+    )
+    def test_unsound_mean_payoff_range_rejected(self, rmin, rmax):
+        # ``loop_exit_model`` has the rewards 4 and 5.
+        objective = Objective(ObjectiveKind.MEAN_PAYOFF, rmin=rmin, rmax=rmax)
+        with pytest.raises(ValueError, match="mean-payoff range"):
+            prepare(loop_exit_model(), objective)
+
+    def test_looser_mean_payoff_range_is_accepted(self):
+        objective = Objective(ObjectiveKind.MEAN_PAYOFF, rmin=-1.0, rmax=10.0)
+        assert prepare(loop_exit_model(), objective).objective is objective
+
     def test_orient_flips_bounds_of_a_dual_query(self):
         query = prepare(chain_model(), Objective.safety({2}))
         flipped = query.orient(BoundsVector([0.0, 0.25], [0.5, 1.0]))

@@ -8,7 +8,7 @@ from sgsolve.ce import solve_ce
 from sgsolve.ecsolve import MecTracker
 from sgsolve.generators import fig1_left, fig1_right, fig2_chain, generate
 from sgsolve.graph import mec_decompose
-from sgsolve.objectives import LabelMismatch, Objective
+from sgsolve.objectives import LabelMismatch, Objective, ObjectiveKind
 from sgsolve.oracle import SingularSystem, TooLarge, game_value_bruteforce
 from sgsolve.pe import solve_pe
 
@@ -199,6 +199,23 @@ def test_settled_components_are_not_processed(monkeypatch, family, params, refer
     if reference is None:
         reference = game_value_bruteforce(model, objective, model.initial)
     assert result.lower - 1e-12 <= reference <= result.upper + 1e-12
+
+
+@pytest.mark.parametrize("rmin, rmax", [(0.0, 1.0), (float("nan"), 10.0)])
+def test_unsound_mean_payoff_range_rejected(rmin, rmax):
+    # The rewards are 4 and 5 (``fig1_left``), and the value is 5.
+    model, _ = fig1_left()
+    objective = Objective(ObjectiveKind.MEAN_PAYOFF, rmin=rmin, rmax=rmax)
+    with pytest.raises(ValueError, match="mean-payoff range"):
+        solve_pe(model, objective, max_paths=10)
+
+
+def test_looser_mean_payoff_range_is_accepted():
+    model, _ = fig1_left()
+    objective = Objective(ObjectiveKind.MEAN_PAYOFF, rmin=-1.0, rmax=10.0)
+    result = solve_pe(model, objective)
+    assert result.converged
+    assert result.lower - 1e-12 <= 5.0 <= result.upper + 1e-12
 
 
 def test_path_budget_below_one_rejected():
