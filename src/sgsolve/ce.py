@@ -91,17 +91,19 @@ def solve_ce(
     if initial_bounds is not None:
         bounds = query.orient(initial_bounds).copy()
 
+    lb, ub = bounds.lb, bounds.ub
     components = scc_decompose(work)
     trackers: list[list[MecTracker]] = [[] for _ in components]
     if enable_deflation:
-        # A MEC lies inside one SCC, so a search per SCC finds them all.
+        # A MEC lies inside one SCC, so a search per SCC finds them all; an
+        # SCC whose bounds all start closed needs no tracker.
         trackers = [
             [MecTracker(mec, working_objective) for mec in mec_decompose(work, c).mecs]
+            if any(lb[s] < ub[s] for s in c) else []
             for c in components
         ]
 
     start = model.initial
-    lb, ub = bounds.lb, bounds.ub
     rounds = [0] * len(components)
     pending = list(range(len(components)))
     iterations = 0

@@ -137,13 +137,13 @@ def prepare(model: GameModel, objective: Objective) -> Query:
         objective = Objective.reachability(objective.avoid)
     elif not objective.goal:
         raise LabelMismatch("reachability goal must be non-empty")
+    # Swapping action lists for Dirac self-loops keeps a valid model valid.
     absorbing = objective.goal | objective.avoid
-    action_lists = [
+    actions = tuple(
         (Distribution.dirac(s),) if s in absorbing else model.actions[s]
         for s in model.states()
-    ]
-    prepared = build_game(owners, action_lists, model.rewards, model.initial)
-    return Query(prepared, objective, dualized)
+    )
+    return Query(replace(model, owners=owners, actions=actions), objective, dualized)
 
 
 def init_bounds(

@@ -16,6 +16,7 @@ from conftest import (
 )
 from sgsolve.bounds import BoundsVector, state_update
 from sgsolve.ce import solve_ce
+from sgsolve.ecsolve import MecTracker
 from sgsolve.generators import fig1_left, fig1_right, fig2_chain, generate
 from sgsolve.model import build_game
 from sgsolve.objectives import LabelMismatch, Objective, ObjectiveKind
@@ -381,6 +382,30 @@ def test_reflecting_walk_is_solved_by_the_qualitative_pass():
     # on this walk takes 81,602 rounds, about 18 s, to close the gap.
     model = reflecting_walk(120)
     result = solve_ce(model, Objective.reachability({119}))
+    assert result.lower == result.upper == 1.0
+    assert result.iterations == 1
+
+
+def test_trackers_only_for_components_that_start_open(monkeypatch):
+    made = []
+
+    class CountingTracker(MecTracker):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr("sgsolve.ce.MecTracker", CountingTracker)
+    model = reflecting_walk(120)
+    objective = Objective.reachability({119})
+    # The qualitative pass pins every state to 1: no component is open.
+    solve_ce(model, objective)
+    assert made == []
+    # Bounds that leave every state open need every absorbing state's
+    # tracker; its inflation is what closes the state.
+    result = solve_ce(
+        model, objective, initial_bounds=BoundsVector([0.0] * 120, [1.0] * 120)
+    )
+    assert len(made) == 120
     assert result.lower == result.upper == 1.0
     assert result.iterations == 1
 

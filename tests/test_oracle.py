@@ -1,6 +1,14 @@
 """Brute-force reference solver: chain values and game values."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import sgsolve
 
 from conftest import MAX, MIN, chain_model, dirac, dist, random_game, random_objective
 from sgsolve.generators import fig1_left, fig1_right
@@ -102,3 +110,39 @@ class TestGameBruteForce:
             values = game_value_bruteforce(model, objective)
             lo, hi = objective.value_floor(), objective.value_ceiling()
             assert all(lo - 1e-9 <= v <= hi + 1e-9 for v in values)
+
+
+BLOCKED_IMPORT_SCRIPT = """
+import json, sys
+sys.modules["numpy"] = None
+sys.modules["networkx"] = None
+import sgsolve, sgsolve.cli, sgsolve.oracle
+from conftest import chain_model
+from sgsolve.generators import fig1_right
+from sgsolve.objectives import Objective
+from sgsolve.oracle import game_value_bruteforce
+model, labels = fig1_right()
+chain = chain_model()
+print(json.dumps([
+    game_value_bruteforce(model, Objective.reachability(labels["goal"])),
+    game_value_bruteforce(chain, Objective.reachability({2})),
+    game_value_bruteforce(chain, Objective.mean_payoff(chain)),
+]))
+"""
+
+
+def test_runs_without_numpy_and_networkx():
+    paths = [str(Path(sgsolve.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run(
+        [sys.executable, "-c", BLOCKED_IMPORT_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    fig1, chain_reach, chain_meanpayoff = json.loads(done.stdout)
+    assert fig1 == pytest.approx([0.0, 1.0, 1.0, 0.0])
+    assert chain_reach == [1.0, 1.0, 1.0]
+    assert chain_meanpayoff == [1.0, 1.0, 1.0]
