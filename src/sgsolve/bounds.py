@@ -25,9 +25,6 @@ class BoundsVector:
     def copy(self) -> "BoundsVector":
         return BoundsVector(list(self.lb), list(self.ub))
 
-    def __len__(self) -> int:
-        return len(self.lb)
-
 
 @dataclass(frozen=True)
 class Strategy:

@@ -41,7 +41,6 @@ def solve_ce(
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
     enable_deflation: bool = True,
     enable_collapse: bool = True,
-    qualitative: bool = True,
     initial_bounds: Optional[BoundsVector] = None,
     instrument: Optional[Instrument] = None,
 ) -> SolveResult:
@@ -79,11 +78,10 @@ def solve_ce(
                 )
     query = prepare(model, objective)
     work, working_objective = query.model, query.objective
-    bounds = init_bounds(work, working_objective, qualitative)
+    bounds = init_bounds(work, working_objective)
     if not objective.is_mean_payoff:
-        # The states the initial bounds pin to 1 or 0 (the goal and avoid
-        # states alone without ``qualitative``) are made absorbing, so that
-        # no end component spans a settled state.
+        # The states the initial bounds pin to 1 or 0 are made absorbing,
+        # so that no end component spans a settled state.
         pinned_one = frozenset(s for s in work.states() if bounds.lb[s] == 1.0)
         pinned_zero = frozenset(s for s in work.states() if bounds.ub[s] == 0.0)
         absorbed = prepare(work, Objective.reachability(pinned_one, pinned_zero))

@@ -4,9 +4,9 @@ Reads a game from an explicit-format file or a built-in generator, solves
 it with the chosen strategy, and prints a single JSON object with the
 value, the certified bounds and run statistics.
 
-Exit codes: 0 on success, 1 on usage/input errors, 2 when the iteration
-budget was exhausted before convergence (bounds are still printed and
-valid).
+Exit codes: 0 on success (``--help`` included), 1 on usage/input errors,
+2 when the iteration budget was exhausted before convergence (bounds are
+still printed and valid).
 """
 
 from __future__ import annotations
@@ -48,8 +48,15 @@ def _resolve_label(labels: dict[str, frozenset[int]], text: str) -> frozenset[in
         raise LabelMismatch(f"unknown label {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, the code of an exhausted budget.
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sgsolve",
         description="Certified interval-iteration solver for stochastic games.",
     )

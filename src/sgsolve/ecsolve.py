@@ -29,65 +29,59 @@ class SecCandidate:
     ec: EndComponent
     beneficiary: Player
 
-    def key(self) -> tuple:
-        return (self.beneficiary, self.ec.key())
+
+# A de-/inflation exit: the candidate's states and the (state, action)
+# pair its beneficiary leaves by.
+Exit = tuple[frozenset[int], tuple[int, int]]
 
 
-@dataclass
-class DeflateRecord:
-    """Exit used when a candidate was last de-/inflated; lets simulations
-    escape regions whose bounds already account for the best exit."""
+def _candidates_in(
+    model: GameModel,
+    states: frozenset[int],
+    beneficiary: Player,
+    opponent_actions: dict[int, tuple[int, ...]],
+) -> list[SecCandidate]:
+    """The beneficiary's candidates inside ``states``: the end components
+    there when the opponent may use only ``opponent_actions`` at its
+    states."""
+    opponent = beneficiary.opponent
 
-    candidate_key: tuple
-    states: frozenset[int]
-    exit: tuple[int, int]  # (state, action)
+    def allowed(state: int):
+        if model.owner(state) is opponent:
+            return opponent_actions[state]
+        return range(model.num_actions(state))
+
+    decomposition = mec_decompose(model, restrict_to=states, allowed_actions=allowed)
+    return [SecCandidate(ec, beneficiary) for ec in decomposition.mecs]
 
 
 def sec_candidates(
     model: GameModel,
     game_mec: EndComponent,
-    bounds: BoundsVector,
     beneficiary: Player,
-    opponent_optimal: Optional[dict[int, tuple[int, ...]]] = None,
+    opponent_optimal: dict[int, tuple[int, ...]],
 ) -> list[SecCandidate]:
-    """Candidates for the beneficiary inside one game MEC.
+    """Candidates for the beneficiary inside one game MEC, with the
+    opponent fixed to the actions ``opponent_optimal`` gives at its
+    states.
 
-    The opponent is fixed to all of its currently optimal actions: the
-    upper-bound optimal ones when deflating for Maximizer, the
-    lower-bound optimal ones when inflating for Minimizer.  Keeping every
-    optimal action (rather than one) means ties cannot hide a region
-    where the players may remain.  ``opponent_optimal`` can supply those
-    sets if the caller has them already.
+    The caller passes all of the opponent's currently optimal actions (or
+    one of them per state): the upper-bound optimal ones when deflating
+    for Maximizer, the lower-bound optimal ones when inflating for
+    Minimizer.  Keeping every optimal action (rather than one) means ties
+    cannot hide a region where the players may remain.
     """
     opponent = beneficiary.opponent
-    reference = bounds.ub if beneficiary is Player.MAXIMIZER else bounds.lb
-    states = game_mec.states
-
-    optimal: dict[int, tuple[int, ...]] = {}
-    for s in states:
-        if model.owner(s) is opponent:
-            if opponent_optimal is not None:
-                optimal[s] = opponent_optimal[s]
-            else:
-                optimal[s] = optimal_actions(model, reference, s)
-
     # When the opponent's optimal actions cover all of its internal MEC
     # actions, the restriction leaves the MEC intact.
     internal = game_mec.action_map()
     if all(
-        set(internal[s]) <= set(optimal[s])
-        for s in states
+        set(internal[s]) <= set(opponent_optimal[s])
+        for s in game_mec.states
         if model.owner(s) is opponent
     ):
         return [SecCandidate(game_mec, beneficiary)]
-
-    def allowed(state: int):
-        if model.owner(state) is opponent:
-            return optimal[state]
-        return range(model.num_actions(state))
-
-    decomposition = mec_decompose(model, restrict_to=states, allowed_actions=allowed)
-    return [SecCandidate(ec, beneficiary) for ec in decomposition.mecs]
+    return _candidates_in(model, game_mec.states, beneficiary, opponent_optimal)
 
 
 @dataclass
@@ -187,9 +181,9 @@ def staying_bounds(
     for its owner), made aperiodic by blending every step with a half
     self-loop; the running min/max of the iteration differences bracket
     the per-state staying values.  The iteration does not depend on the
-    beneficiary: ``cache`` keys it by ``candidate.ec.key()``, so the
-    Maximizer and the Minimizer candidate over one end component share
-    one iteration, compiled on first use and resumed by later calls.
+    beneficiary: ``cache`` keys it by the end component ``candidate.ec``,
+    so the Maximizer and the Minimizer candidate over one end component
+    share one iteration, compiled on first use and resumed by later calls.
 
     When the restricted game does not have a uniform value, the bracket
     stalls at the spread of the per-state values and never closes; each
@@ -203,12 +197,11 @@ def staying_bounds(
             return (1.0, 1.0)
         return (0.0, 0.0)
 
-    key = candidate.ec.key()
-    state = cache.get(key) if cache is not None else None
+    state = cache.get(candidate.ec) if cache is not None else None
     if state is None:
         state = _StayingIteration.compile(model, candidate.ec)
         if cache is not None:
-            cache[key] = state
+            cache[candidate.ec] = state
 
     budget = max(64, 4 * len(state.members))
     steps = 0
@@ -245,19 +238,9 @@ def split_candidates(
     if len(groups) == 1:
         return []
     amap = candidate.ec.action_map()
-    opponent = candidate.beneficiary.opponent
-
-    def allowed(state: int):
-        if model.owner(state) is opponent:
-            return amap[state]
-        return range(model.num_actions(state))
-
     subs: list[SecCandidate] = []
     for group in groups:
-        decomposition = mec_decompose(
-            model, restrict_to=frozenset(group), allowed_actions=allowed
-        )
-        subs.extend(SecCandidate(ec, candidate.beneficiary) for ec in decomposition.mecs)
+        subs.extend(_candidates_in(model, frozenset(group), candidate.beneficiary, amap))
     return subs
 
 
@@ -355,8 +338,8 @@ class MecTracker:
     signature (the optimal actions inside the MEC) has changed.  When a
     tracker is re-processed and its candidates are unchanged, the staying
     precision is halved so the bracket keeps tightening.  The staying
-    cache holds one iteration per end component (keyed by its
-    ``EndComponent.key()``), compiled once and shared by the deflated
+    cache holds one iteration per end component (keyed by the
+    ``EndComponent`` itself), compiled once and shared by the deflated
     Maximizer candidate and the inflated Minimizer candidate over it.
 
     A ``process`` call that changes no bound and splits no candidate is
@@ -418,28 +401,26 @@ class MecTracker:
             # so equal restrictions there yield the same candidates.
             opponent = [s for s, _, _ in signature if model.owner(s) is beneficiary.opponent]
             searched: set[tuple] = set()
-            found: dict[tuple, SecCandidate] = {}
+            # Insertion-ordered set: each candidate once, in order found.
+            found: dict[SecCandidate, None] = {}
             for optimal in (optimal_ub, optimal_lb, single_ub, single_lb):
                 restriction = tuple(optimal[s] for s in opponent)
                 if restriction in searched:
                     continue
                 searched.add(restriction)
-                for c in sec_candidates(
-                    model, self.mec, bounds, beneficiary, opponent_optimal=optimal
-                ):
-                    found[c.key()] = c
-            new[beneficiary] = list(found.values())
+                found.update(
+                    dict.fromkeys(sec_candidates(model, self.mec, beneficiary, optimal))
+                )
+            new[beneficiary] = list(found)
         if self.candidates is not None:
-            old_keys = {
-                c.key() for cands in self.candidates.values() for c in cands
-            }
-            new_keys = {c.key() for cands in new.values() for c in cands}
-            if old_keys == new_keys:
+            old = {c for cands in self.candidates.values() for c in cands}
+            current = {c for cands in new.values() for c in cands}
+            if old == current:
                 self.precision = max(self.precision / 2.0, 1e-15)
             else:
-                ecs = {c.ec.key() for cands in new.values() for c in cands}
+                ecs = {c.ec for c in current}
                 self.staying_cache = {
-                    k: v for k, v in self.staying_cache.items() if k in ecs
+                    ec: v for ec, v in self.staying_cache.items() if ec in ecs
                 }
         self.candidates = new
         self._signature = signature
@@ -481,7 +462,7 @@ class MecTracker:
             iteration.hi - iteration.lo
             for cands in self.candidates.values()
             for c in cands
-            if (iteration := self.staying_cache.get(c.ec.key())) is not None
+            if (iteration := self.staying_cache.get(c.ec)) is not None
         ]
         self._quiet = (
             list(map(bounds.lb.__getitem__, self._reads)),
@@ -489,15 +470,14 @@ class MecTracker:
             max(widths, default=-math.inf),
         )
 
-    def process(
-        self, model: GameModel, bounds: BoundsVector
-    ) -> Optional[list[DeflateRecord]]:
+    def process(self, model: GameModel, bounds: BoundsVector) -> Optional[list[Exit]]:
         """Refresh candidates if needed, then de-/inflate all of them.
-        Returns the exits used, for the simulation jump memory.
+        Returns, for the simulation jump memory, the first best exit of
+        every candidate that has one, in the order they were processed.
 
         A call for which ``_nothing_to_do`` holds is skipped: it only halves
         the precision, as ``refresh_candidates`` would, and returns None
-        instead of repeating the records of the quiet call before it.  The
+        instead of repeating the exits of the quiet call before it.  The
         bounds are read only after a quiet call, so a caller whose calls
         nearly always change a bound pays for the skip with a flag per
         call."""
@@ -507,14 +487,14 @@ class MecTracker:
         self._quiet = None
         self.refresh_candidates(model, bounds)
         assert self.candidates is not None
-        records: list[DeflateRecord] = []
+        used: list[Exit] = []
         quiet = True
         for beneficiary, operate in (
             (Player.MAXIMIZER, deflate),
             (Player.MINIMIZER, inflate),
         ):
             worklist = list(self.candidates[beneficiary])
-            seen = {c.key() for c in worklist}
+            seen = set(worklist)
             while worklist:
                 candidate = worklist.pop()
                 changed, exits = operate(
@@ -524,26 +504,19 @@ class MecTracker:
                 if changed:
                     quiet = False
                 if exits:
-                    records.append(
-                        DeflateRecord(candidate.key(), candidate.ec.states, exits[0])
-                    )
-                iteration = self.staying_cache.get(candidate.ec.key())
+                    used.append((candidate.ec.states, exits[0]))
+                iteration = self.staying_cache.get(candidate.ec)
                 if iteration is not None and iteration.hi - iteration.lo > self.precision:
                     # Later steps in this call may narrow the bracket split
                     # on; the next call would then split nothing.
                     quiet = False
                     for sub in split_candidates(model, candidate, iteration):
-                        if sub.key() not in seen:
-                            seen.add(sub.key())
+                        if sub not in seen:
+                            seen.add(sub)
                             worklist.append(sub)
         if quiet:
             self._remember_quiet(model, bounds)
-        return records
-
-    def candidate_keys(self) -> set:
-        if self.candidates is None:
-            return set()
-        return {c.key() for cands in self.candidates.values() for c in cands}
+        return used
 
     def absorb(self, other: "MecTracker") -> None:
         """Carry over cached information from a tracker whose MEC was

@@ -26,9 +26,6 @@ class EndComponent:
     def action_map(self) -> dict[int, tuple[int, ...]]:
         return dict(self.actions)
 
-    def key(self) -> tuple:
-        return (self.states, self.actions)
-
     @staticmethod
     def of(states: Iterable[int], actions: dict[int, Sequence[int]]) -> "EndComponent":
         return EndComponent(

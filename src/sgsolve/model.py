@@ -90,23 +90,11 @@ class Distribution:
     def dirac(target: int) -> "Distribution":
         return Distribution(((target, 1.0),))
 
-    def targets(self) -> tuple[int, ...]:
-        return tuple(t for t, _ in self.support)
-
-    def probability(self, target: int) -> float:
-        for t, p in self.support:
-            if t == target:
-                return p
-        return 0.0
-
     def total(self) -> float:
         return sum(p for _, p in self.support)
 
     def is_self_loop(self, state: int) -> bool:
         return self.support == ((state, 1.0),)
-
-    def expectation(self, values: Sequence[float]) -> float:
-        return sum(p * values[t] for t, p in self.support)
 
 
 @dataclass(frozen=True)
@@ -137,11 +125,6 @@ class GameModel:
 
     def reward_range(self) -> tuple[float, float]:
         return min(self.rewards), max(self.rewards)
-
-    def num_transitions(self) -> int:
-        return sum(
-            len(d.support) for dists in self.actions for d in dists
-        )
 
 
 def build_game(

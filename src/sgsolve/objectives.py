@@ -146,18 +146,14 @@ def prepare(model: GameModel, objective: Objective) -> Query:
     return Query(replace(model, owners=owners, actions=actions), objective, dualized)
 
 
-def init_bounds(
-    model: GameModel,
-    objective: Objective,
-    qualitative: bool = True,
-) -> BoundsVector:
+def init_bounds(model: GameModel, objective: Objective) -> BoundsVector:
     """Safe initial under- and over-approximation of the value.
 
     Reachability starts at [0, 1] with goal states pinned to 1 and avoid
-    states to 0; when qualitative precomputation is enabled, states that
-    cannot reach the goal without passing an avoid state get their upper
-    bound pinned to 0, and those from which Maximizer reaches it almost
-    surely their lower bound pinned to 1.  Mean payoff starts at [rmin, rmax].
+    states to 0; the qualitative precomputation then pins the upper bound
+    of every state that cannot reach the goal without passing an avoid
+    state to 0, and the lower bound of every state from which Maximizer
+    reaches it almost surely to 1.  Mean payoff starts at [rmin, rmax].
     """
     n = model.num_states
     if objective.kind is ObjectiveKind.MEAN_PAYOFF:
@@ -171,7 +167,7 @@ def init_bounds(
         bounds.lb[g] = 1.0
     for a in objective.avoid:
         bounds.ub[a] = 0.0
-    if qualitative and objective.goal:
+    if objective.goal:
         value1, value0 = graph.qualitative_reach(model, objective.goal, objective.avoid)
         for s in value0:
             bounds.ub[s] = 0.0

@@ -21,9 +21,11 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional
 
-from .bounds import BoundsVector, converged as bounds_converged, midpoint, state_update
+from .bounds import (
+    BoundsVector, converged as bounds_converged, midpoint, optimal_actions, state_update,
+)
 from .ecsolve import MecTracker
-from .graph import mec_decompose
+from .graph import EndComponent, mec_decompose
 from .model import Distribution, GameModel, Player
 from .objectives import Objective, ObjectiveKind, prepare
 from .result import SolveResult
@@ -33,8 +35,9 @@ REVISIT_BUDGET = 2
 COMPONENT_SEARCH_PERIOD = 8
 
 PeInstrument = Callable[[int, GameModel, "PartialState"], None]
-# Per state, the recorded deflation exits: (candidate key, (state, action)).
-Memory = dict[int, list[tuple[tuple, tuple[int, int]]]]
+# Per state of a processed MEC, the (state, action) exits that its last
+# processing used for the candidates holding the state, in their order.
+Memory = dict[int, list[tuple[int, int]]]
 
 
 class PartialState:
@@ -73,16 +76,8 @@ class PartialState:
 def _guidance_action(model: GameModel, state: int, bounds: BoundsVector) -> int:
     """Bound-optimal action: argmax on ub for Maximizer, argmin on lb for
     Minimizer, lowest index on ties."""
-    maximize = model.owner(state) is Player.MAXIMIZER
-    reference = bounds.ub if maximize else bounds.lb
-    best_a = 0
-    best_v = None
-    for a in range(model.num_actions(state)):
-        v = sum(p * reference[t] for t, p in model.distribution(state, a).support)
-        if best_v is None or (v > best_v if maximize else v < best_v):
-            best_v = v
-            best_a = a
-    return best_a
+    reference = bounds.ub if model.owner(state) is Player.MAXIMIZER else bounds.lb
+    return optimal_actions(model, reference, state)[0]
 
 
 def _sample_successor(
@@ -135,11 +130,11 @@ def sample_path(
             # Jump out via a recorded exit, preferring the one whose
             # successors have the most remaining uncertainty; still record
             # the current state so backpropagation keeps updating it.
-            def _exit_weight(entry):
-                s, a = entry[1]
+            def _exit_weight(exit):
+                s, a = exit
                 return sum(p * part.gap(t) for t, p in model.distribution(s, a).support)
 
-            from_state, action = max(entries, key=_exit_weight)[1]
+            from_state, action = max(entries, key=_exit_weight)
             dist = model.distribution(from_state, action)
             if from_state != state:
                 path.append((state, _guidance_action(model, state, part.bounds)))
@@ -204,27 +199,32 @@ def _refresh_components(
     decomposed MEC keeps the tracker of an equal old one; a new MEC gets a
     new tracker that absorbs the caches of the old ones it overlaps.  The
     result equals ``mec_decompose(model, restrict_to=part.explored)``,
-    in its order.  A settled component's memory entries are left as they
-    are: ``sample_path`` stops at its states (gap below ``2 * epsilon``)
-    before it reads the memory."""
+    in its order.
+
+    A processed component's states get their memory anew: the exits its
+    ``process`` call returned, for the candidates holding each state, in
+    the order returned.  A skipped component's memory holds the exits of
+    its last processing already, and a settled component's entries are
+    left as they are: ``sample_path`` stops at its states (gap below
+    ``2 * epsilon``) before it reads the memory."""
     fresh = trackers
     if part.added:
         region = _changed_region(model, part.explored, part.added)
         part.added = []
         part.decomposed_states += len(region)
         fresh = []
-        old_by_key: dict[tuple, MecTracker] = {}
+        old_by_mec: dict[EndComponent, MecTracker] = {}
         old_by_state: dict[int, MecTracker] = {}
         for tracker in trackers:
             # A MEC lies inside one SCC, so it is in the region or outside it.
             if next(iter(tracker.mec.states)) not in region:
                 fresh.append(tracker)
                 continue
-            old_by_key[tracker.mec.key()] = tracker
+            old_by_mec[tracker.mec] = tracker
             for s in tracker.mec.states:
                 old_by_state[s] = tracker
         for mec in mec_decompose(model, restrict_to=region).mecs:
-            tracker = old_by_key.get(mec.key())
+            tracker = old_by_mec.get(mec)
             if tracker is None:
                 tracker = MecTracker(mec, objective)
                 for s in mec.states:
@@ -236,23 +236,15 @@ def _refresh_components(
     for tracker in fresh:
         if tracker.settled(part.bounds, epsilon):
             continue
-        records = tracker.process(model, part.bounds)
-        if records is None:
-            # Skipped: the tracker's last call was quiet and its records,
-            # which this call would repeat, are in the memory already.
+        exits = tracker.process(model, part.bounds)
+        if exits is None:
             continue
-        valid = tracker.candidate_keys() | {r.candidate_key for r in records}
         for s in tracker.mec.states:
-            if s in memory:
-                memory[s] = [e for e in memory[s] if e[0] in valid]
-                if not memory[s]:
-                    del memory[s]
+            memory.pop(s, None)
         if use_memory:
-            for record in records:
-                for s in record.states:
-                    entries = memory.setdefault(s, [])
-                    entries[:] = [e for e in entries if e[0] != record.candidate_key]
-                    entries.append((record.candidate_key, record.exit))
+            for states, exit in exits:
+                for s in states:
+                    memory.setdefault(s, []).append(exit)
     # Simulations jump straight to recorded exits, so interior component
     # states do not appear on paths; sweep the explored region so exit
     # values still propagate to them.

@@ -15,7 +15,6 @@ from sgsolve.bounds import (
 
 def test_bounds_vector_basics():
     b = BoundsVector([0.0, 1.0], [2.0, 3.0])
-    assert len(b) == 2
     assert b.gap(0) == 2.0
     c = b.copy()
     c.lb[0] = 5.0

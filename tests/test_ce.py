@@ -88,13 +88,6 @@ def test_agrees_with_oracle(rng):
         assert abs(result.value - values[model.initial]) <= 1e-6
 
 
-def test_qualitative_toggle_agrees(rng):
-    for model, objective, values in oracle_instances(rng, 15):
-        result = solve_ce(model, objective, qualitative=False)
-        assert result.converged
-        assert abs(result.value - values[model.initial]) <= 1e-6
-
-
 def test_budget_exhaustion_keeps_sound_bounds():
     model, labels = fig2_chain(3)
     result = solve_ce(model, Objective.reachability(labels["goal"]), max_sweeps=1)
@@ -378,8 +371,8 @@ def test_updates_do_not_depend_on_numbering(monkeypatch, family, params, label):
 
 
 def test_reflecting_walk_is_solved_by_the_qualitative_pass():
-    # Without the value-1 set (``qualitative=False``), interval iteration
-    # on this walk takes 81,602 rounds, about 18 s, to close the gap.
+    # Without the value-1 set, interval iteration on this walk takes
+    # 81,602 rounds, about 18 s, to close the gap.
     model = reflecting_walk(120)
     result = solve_ce(model, Objective.reachability({119}))
     assert result.lower == result.upper == 1.0

@@ -131,9 +131,31 @@ def test_unknown_state_id(capsys, mode):
     assert "unknown state 99" in capsys.readouterr().err
 
 
+def usage_error_code(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        run(argv)
+    assert capsys.readouterr().err
+    return exited.value.code
+
+
 def test_reach_requires_goal(capsys):
-    with pytest.raises(SystemExit):
-        run(["--generate", "fig1left", "--objective", "reach"])
+    assert usage_error_code(capsys, ["--generate", "fig1left", "--objective", "reach"]) == 1
+
+
+def test_unparsable_precision_is_usage_error(capsys):
+    argv = ["--generate", "fig1left", "--objective", "mean-payoff", "--precision", "abc"]
+    assert usage_error_code(capsys, argv) == 1
+
+
+def test_missing_source_is_usage_error(capsys):
+    assert usage_error_code(capsys, ["--objective", "mean-payoff"]) == 1
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exited:
+        run(["--help"])
+    assert exited.value.code == 0
+    assert "usage: sgsolve" in capsys.readouterr().out
 
 
 def test_budget_exhaustion_exit_code(capsys):

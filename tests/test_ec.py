@@ -7,7 +7,7 @@ import pytest
 
 from conftest import MAX, MIN, dirac, random_game, random_objective, split_value_mec_model
 from sgsolve import ecsolve
-from sgsolve.bounds import BoundsVector, state_update
+from sgsolve.bounds import BoundsVector, optimal_actions, state_update
 from sgsolve.ce import solve_ce
 from sgsolve.ecsolve import (
     MecTracker,
@@ -31,6 +31,12 @@ def reach_obj(goal):
     return Objective.reachability(goal)
 
 
+def ub_optimal(model, mec, bounds):
+    """Every upper-bound optimal action per state: the opponent
+    restriction of deflation."""
+    return {s: optimal_actions(model, bounds.ub, s) for s in mec.states}
+
+
 class TestSecCandidates:
     def game_mec(self, model):
         return next(
@@ -43,25 +49,22 @@ class TestSecCandidates:
         # Upper bound favours Minimizer's exit to the zero sink: no region
         # remains where Maximizer could be trapped.
         bounds = BoundsVector([0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 1.0])
-        assert sec_candidates(model, mec, bounds, MAX) == []
+        assert sec_candidates(model, mec, MAX, ub_optimal(model, mec, bounds)) == []
 
     def test_indifferent_opponent_keeps_full_mec(self):
         model, labels = fig1_right()
         mec = self.game_mec(model)
         # Both Minimizer actions look equally good: the whole MEC remains.
         bounds = BoundsVector([0.0] * 4, [1.0] * 4)
-        candidates = sec_candidates(model, mec, bounds, MAX)
+        candidates = sec_candidates(model, mec, MAX, ub_optimal(model, mec, bounds))
         assert [c.ec for c in candidates] == [mec]
         assert candidates[0].beneficiary is MAX
 
     def test_explicit_opponent_actions(self):
         model, labels = fig1_right()
         mec = self.game_mec(model)
-        bounds = BoundsVector([0.0] * 4, [1.0] * 4)
         p = model.initial
-        candidates = sec_candidates(
-            model, mec, bounds, MAX, opponent_optimal={p: (1,)}
-        )
+        candidates = sec_candidates(model, mec, MAX, {p: (1,)})
         assert [c.ec.states for c in candidates] == [mec.states]
 
 
@@ -98,7 +101,7 @@ class TestStayingBounds:
         objective = Objective.mean_payoff(model)
         cache = {}
         staying_bounds(model, candidate, objective, 1.0, cache)
-        assert candidate.ec.key() in cache
+        assert candidate.ec in cache
         lo, hi = staying_bounds(model, candidate, objective, 1e-12, cache)
         assert hi - lo <= 1e-12
 
@@ -111,7 +114,7 @@ class TestStayingBounds:
         cache = {}
         deflated = staying_bounds(model, SecCandidate(ec, MAX), objective, 1e-9, cache)
         inflated = staying_bounds(model, SecCandidate(ec, MIN), objective, 1e-9, cache)
-        assert list(cache) == [ec.key()]
+        assert list(cache) == [ec]
         assert inflated == deflated
 
     def test_split_value_bracket_stalls(self):
@@ -192,7 +195,7 @@ class TestCompiledStayingIteration:
                     got = staying_bounds(model, candidate, objective, precision, cache)
                     want = reference_staying(model, mec, precision, reference)
                     assert bits(got) == bits(want)
-                    iteration = cache[mec.key()]
+                    iteration = cache[mec]
                     assert iteration.members == sorted(mec.states)
                     assert bits(iteration.diffs) == bits(
                         reference["diffs"][s] for s in iteration.members
@@ -209,7 +212,7 @@ class TestSplitCandidates:
         candidate = SecCandidate(mec, MAX)
         cache = {}
         staying_bounds(model, candidate, Objective.mean_payoff(model), 1e-9, cache)
-        subs = split_candidates(model, candidate, cache[candidate.ec.key()])
+        subs = split_candidates(model, candidate, cache[candidate.ec])
         assert {sub.ec.states for sub in subs} == {
             frozenset({0}),
             frozenset({1}),
@@ -225,7 +228,7 @@ class TestSplitCandidates:
         )
         cache = {}
         staying_bounds(model, candidate, Objective.mean_payoff(model), 1e-9, cache)
-        assert split_candidates(model, candidate, cache[candidate.ec.key()]) == []
+        assert split_candidates(model, candidate, cache[candidate.ec]) == []
 
 
 class TestBestExit:
@@ -346,15 +349,15 @@ class TestMecTracker:
         assert bounds.lb[0] == pytest.approx(10.0, abs=1e-6)
         assert bounds.ub[1] == pytest.approx(0.0, abs=1e-6)
 
-    def test_candidate_keys_and_absorb(self):
+    def test_candidates_and_absorb(self):
         model = split_value_mec_model()
         (mec,) = mec_decompose(model).mecs
         objective = Objective.mean_payoff(model)
         tracker = MecTracker(mec, objective)
-        assert tracker.candidate_keys() == set()
+        assert tracker.candidates is None
         bounds = BoundsVector([0.0, 0.0], [10.0, 10.0])
         tracker.process(model, bounds)
-        assert tracker.candidate_keys()
+        assert any(tracker.candidates.values())
         other = MecTracker(mec, objective)
         other.precision = 1e-12
         tracker.absorb(other)
@@ -393,9 +396,9 @@ class TestRefreshCandidates:
         real = ecsolve.sec_candidates
         calls = []
 
-        def counting(model, game_mec, bounds, beneficiary, *args, **kwargs):
+        def counting(model, game_mec, beneficiary, opponent_optimal):
             calls.append(beneficiary)
-            return real(model, game_mec, bounds, beneficiary, *args, **kwargs)
+            return real(model, game_mec, beneficiary, opponent_optimal)
 
         monkeypatch.setattr(ecsolve, "sec_candidates", counting)
         objective = Objective.mean_payoff(model)
@@ -422,10 +425,9 @@ class TestRefreshCandidates:
                         assert calls.count(beneficiary) == len(distinct)
                         found = {}
                         for restriction in restrictions:
-                            for c in real(model, tracker.mec, bounds, beneficiary, restriction):
-                                found[c.key()] = c
-                        keys = [c.key() for c in tracker.candidates[beneficiary]]
-                        assert keys == list(found)
+                            for c in real(model, tracker.mec, beneficiary, restriction):
+                                found.setdefault(c)
+                        assert tracker.candidates[beneficiary] == list(found)
                 tracker.process(model, bounds)
         return made, all_four
 
@@ -503,15 +505,16 @@ class TestProcessSkip:
             cases.append((model, objective, 1))
         assert self.assert_exact(monkeypatch, cases) > 0
 
-    def test_skipped_call_returns_no_records(self):
-        # The records of the quiet call before a skip are the caller's
+    def test_skipped_call_returns_no_exits(self):
+        # The exits of the quiet call before a skip are the caller's
         # already; a skip hands back None instead of repeating them.
         model, _ = fig1_left()
         loop = mec_decompose(model).mecs[1]
         tracker = MecTracker(loop, Objective.mean_payoff(model))
         bounds = BoundsVector([5.0, 5.0], [5.0, 5.0])
-        (record,) = tracker.process(model, bounds)
-        assert record.exit == (1, 1)
+        ((states, exit),) = tracker.process(model, bounds)
+        assert states == loop.states
+        assert exit == (1, 1)
         assert tracker.process(model, bounds) is None
         assert bounds == BoundsVector([5.0, 5.0], [5.0, 5.0])
 
@@ -519,7 +522,7 @@ class TestProcessSkip:
         """The bracket a candidate was split on can narrow later in the
         same call, when another candidate over the same end component runs
         more staying steps.  The next call then splits nothing, so it must
-        run rather than repeat the records of the split."""
+        run rather than repeat the exits of the split."""
         real_inflate = ecsolve.inflate
 
         def narrowing_inflate(model, candidate, bounds, objective, precision, cache):
@@ -534,10 +537,7 @@ class TestProcessSkip:
             (mec,) = mec_decompose(model).mecs
             tracker = MecTracker(mec, Objective.mean_payoff(model))
             bounds = BoundsVector([5.0, 5.0], [5.0, 5.0])
-            calls = [
-                [(r.candidate_key, r.exit) for r in tracker.process(model, bounds)]
-                for _ in range(2)
-            ]
+            calls = [tracker.process(model, bounds) for _ in range(2)]
             assert bounds == BoundsVector([5.0, 5.0], [5.0, 5.0])
             return calls
 

@@ -31,16 +31,9 @@ class TestDistribution:
         assert d.is_self_loop(7)
         assert not d.is_self_loop(6)
 
-    def test_probability_and_targets(self):
+    def test_total(self):
         d = dist((0, 0.25), (2, 0.75))
-        assert d.targets() == (0, 2)
-        assert d.probability(2) == 0.75
-        assert d.probability(1) == 0.0
         assert d.total() == 1.0
-
-    def test_expectation(self):
-        d = dist((0, 0.5), (1, 0.5))
-        assert d.expectation([2.0, 4.0]) == 3.0
 
 
 class TestBuildGame:
@@ -53,7 +46,6 @@ class TestBuildGame:
         assert m.is_absorbing(2)
         assert not m.is_absorbing(0)
         assert m.reward_range() == (0.0, 1.0)
-        assert m.num_transitions() == 3
 
     def test_empty_action_set(self):
         with pytest.raises(EmptyActionSet):

@@ -3,9 +3,10 @@ the reachability to mean-payoff reduction."""
 
 import pytest
 
-from conftest import MAX, MIN, chain_model, loop_exit_model
+from conftest import MAX, MIN, chain_model, dirac, dist, loop_exit_model
 from sgsolve.bounds import BoundsVector
 from sgsolve.graph import mec_decompose
+from sgsolve.model import build_game
 from sgsolve.objectives import (
     LabelMismatch,
     Objective,
@@ -51,10 +52,18 @@ class TestInitBounds:
         assert bounds.ub == [5.0, 5.0]
 
     def test_reachability_pins_goal_and_avoid(self):
-        m = chain_model()
-        bounds = init_bounds(m, Objective.reachability({2}), qualitative=False)
-        assert bounds.lb == [0.0, 0.0, 1.0]
-        assert bounds.ub == [1.0, 1.0, 1.0]
+        # A fair coin from state 0 to the goal 1 or the avoid state 2:
+        # state 0 reaches the goal, but not almost surely, so the
+        # qualitative pass pins nothing beyond the goal and avoid states.
+        m = build_game(
+            [MAX, MAX, MAX],
+            [(dist((1, 0.5), (2, 0.5)),), (dirac(1),), (dirac(2),)],
+            [0.0, 0.0, 0.0],
+            0,
+        )
+        bounds = init_bounds(m, Objective.reachability({1}, avoid={2}))
+        assert bounds.lb == [0.0, 1.0, 0.0]
+        assert bounds.ub == [1.0, 1.0, 0.0]
 
     def test_qualitative_pins_value_one_region(self):
         m = chain_model()

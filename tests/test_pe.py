@@ -241,7 +241,7 @@ def checked_refreshes(monkeypatch):
     def refresh(model, part, *args):
         trackers = real(model, part, *args)
         expected = mec_decompose(model, restrict_to=part.explored).mecs
-        assert [t.mec.key() for t in trackers] == [m.key() for m in expected]
+        assert [t.mec for t in trackers] == list(expected)
         seen.append(len(trackers))
         return trackers
 
@@ -281,3 +281,61 @@ class TestIncrementalComponents:
         assert result.converged
         assert result.stats["refreshes"] > 0
         assert result.stats["decomposed_states"] <= 2 * result.states_explored
+
+
+@pytest.fixture
+def checked_memory(monkeypatch):
+    """Checks the jump memory after every component refresh.  A MEC whose
+    last ``process`` call returned exits holds at each of its states the
+    exits of the candidates with that state, in the order returned; the
+    entries at the states of a MEC that the refresh skipped or left
+    settled are untouched.  Counts the processed and the skipped calls."""
+    real_process = MecTracker.process
+    real_refresh = pe._refresh_components
+    last = {}
+    this_refresh = {}
+    counts = {"processed": 0, "skipped": 0}
+
+    def process(tracker, model, bounds):
+        exits = real_process(tracker, model, bounds)
+        this_refresh[tracker] = exits
+        if exits is None:
+            counts["skipped"] += 1
+        else:
+            counts["processed"] += 1
+            last[tracker] = exits
+        return exits
+
+    def refresh(model, part, objective, trackers, memory, *args):
+        before = {s: list(entries) for s, entries in memory.items()}
+        this_refresh.clear()
+        fresh = real_refresh(model, part, objective, trackers, memory, *args)
+        for tracker in fresh:
+            if this_refresh.get(tracker) is None:
+                for s in tracker.mec.states:
+                    assert memory.get(s) == before.get(s)
+            if tracker in last:
+                for s in tracker.mec.states:
+                    want = [exit for states, exit in last[tracker] if s in states]
+                    assert memory.get(s, []) == want
+        return fresh
+
+    monkeypatch.setattr(MecTracker, "process", process)
+    monkeypatch.setattr(pe, "_refresh_components", refresh)
+    return counts
+
+
+class TestJumpMemory:
+    def test_holds_last_exits_on_random_games(self, checked_memory, rng):
+        for _ in range(200):
+            model = random_game(rng, max_states=8)
+            objective = random_objective(rng, model)
+            solve_pe(model, objective, seed=rng.randrange(1000), max_paths=300)
+        assert checked_memory["processed"] > 0
+        assert checked_memory["skipped"] > 0
+
+    def test_holds_last_exits_on_fig2chain(self, checked_memory):
+        model, labels = generate("fig2chain", k=5)
+        result = solve_pe(model, Objective.reachability(labels["goal"]), seed=1)
+        assert result.converged
+        assert checked_memory["processed"] > 0
