@@ -15,7 +15,21 @@ component without trackers gets one round per pass.  Slow components
 (an end component whose staying bracket tightens slowly, a slowly mixing
 chain) thus wait for the next pass instead of holding it up.  A component
 whose gaps are all at most epsilon is resolved: gaps never widen, so it is
-never visited again and its trackers are dropped."""
+never visited again and its trackers are dropped.
+
+Two steps settle an end component in one go where that is sound.  Under
+mean payoff every absorbing state is pinned to ``[reward, reward]``: the
+play earns that reward forever, whatever either player does, so this is
+its exact value, and its SCC starts closed, with no MEC search and no
+tracker.  And on entering a component whose exits are final, its trackers
+start the staying iteration at precision epsilon/4, not at the
+(rmax - rmin)/8 that ``MecTracker``'s halving schedule starts from.  The
+exits are final while no component visited earlier in the pass ended
+open and none was ever cut short by ``max_sweeps``: reverse topological
+order puts every successor of a component before it.  The staying
+bracket is sound at any precision, which only bounds how long the
+iteration runs.  Above a component that is still open, the default
+schedule stays."""
 
 from __future__ import annotations
 
@@ -55,9 +69,16 @@ def solve_ce(
     then).  ``instrument(iterations, model, bounds)`` is called after
     every pass.
 
+    Under mean payoff, every absorbing state starts at ``[reward,
+    reward]``, its exact value, so it needs no end-component tracker; and
+    the trackers of a component whose exits are all resolved start their
+    staying iteration at precision ``epsilon / 4``.  The module docstring
+    gives the soundness argument for both.
+
     ``initial_bounds`` overrides the default initialization (given in the
     original state numbering and the caller's orientation, and required to
-    be sound); a vector without one entry per state, or with an entry that
+    be sound; under mean payoff the absorbing states are pinned all the
+    same); a vector without one entry per state, or with an entry that
     is NaN or has ``lb > ub``, raises ValueError.  ``enable_deflation``
     switches the deflate/inflate handling of end components, to study the
     untreated fixpoint behaviour.  ``enable_collapse`` is accepted for
@@ -90,6 +111,11 @@ def solve_ce(
         bounds = query.orient(initial_bounds).copy()
 
     lb, ub = bounds.lb, bounds.ub
+    if objective.is_mean_payoff:
+        # The value of an absorbing state is its reward.
+        for s in work.states():
+            if work.is_absorbing(s):
+                lb[s] = ub[s] = work.rewards[s]
     components = scc_decompose(work)
     trackers: list[list[MecTracker]] = [[] for _ in components]
     if enable_deflation:
@@ -106,10 +132,15 @@ def solve_ce(
     pending = list(range(len(components)))
     iterations = 0
     done = False
+    cut = False
     while pending and not done:
         unresolved = []
+        exits_final = not cut
         for i in pending:
             states = components[i]
+            if exits_final:
+                for tracker in trackers[i]:
+                    tracker.precision = min(tracker.precision, epsilon / 4.0)
             widest = max(ub[s] - lb[s] for s in states)
             while rounds[i] < max_sweeps:
                 rounds[i] += 1
@@ -130,6 +161,9 @@ def solve_ce(
                 unresolved.append(i)
             else:
                 trackers[i] = []
+                # A component cut short by the budget stays open for good.
+                cut = cut or widest > epsilon
+            exits_final = exits_final and widest <= epsilon
             done = converged(bounds, start, epsilon)
             if done:
                 break

@@ -15,7 +15,7 @@ from conftest import (
     split_value_mec_model,
 )
 from sgsolve.bounds import BoundsVector, state_update
-from sgsolve.ce import solve_ce
+from sgsolve.ce import DEFAULT_MAX_SWEEPS, solve_ce
 from sgsolve.ecsolve import MecTracker
 from sgsolve.generators import fig1_left, fig1_right, fig2_chain, generate
 from sgsolve.model import build_game
@@ -379,7 +379,8 @@ def test_reflecting_walk_is_solved_by_the_qualitative_pass():
     assert result.iterations == 1
 
 
-def test_trackers_only_for_components_that_start_open(monkeypatch):
+def counting_trackers(monkeypatch) -> list[MecTracker]:
+    """Route CE's trackers through a subclass that lists every one made."""
     made = []
 
     class CountingTracker(MecTracker):
@@ -388,6 +389,11 @@ def test_trackers_only_for_components_that_start_open(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr("sgsolve.ce.MecTracker", CountingTracker)
+    return made
+
+
+def test_trackers_only_for_components_that_start_open(monkeypatch):
+    made = counting_trackers(monkeypatch)
     model = reflecting_walk(120)
     objective = Objective.reachability({119})
     # The qualitative pass pins every state to 1: no component is open.
@@ -431,3 +437,138 @@ def test_budget_counts_rounds_of_the_slowest_component():
     assert result.converged is False
     assert result.iterations == 50
     assert result.lower - 1e-12 <= exact <= result.upper + 1e-12
+
+
+@pytest.mark.parametrize("open_start", [False, True], ids=["default", "open-initial-bounds"])
+def test_absorbing_states_start_pinned_under_mean_payoff(monkeypatch, open_start):
+    # Each treemulsec leaf has two absorbing exits next to its cycle: only
+    # the cycles need a tracker.
+    made = counting_trackers(monkeypatch)
+    model, _ = generate("treemulsec", n=3)
+    objective = Objective.mean_payoff(model)
+    absorbing = [s for s in model.states() if model.is_absorbing(s)]
+    assert len(absorbing) == 16
+    initial_bounds = None
+    if open_start:
+        rmin, rmax = model.reward_range()
+        initial_bounds = BoundsVector([rmin] * model.num_states, [rmax] * model.num_states)
+    seen = []
+
+    def first_pass(iterations, work, bounds):
+        if not seen:
+            seen.append([(bounds.lb[s], bounds.ub[s]) for s in absorbing])
+
+    result = solve_ce(model, objective, initial_bounds=initial_bounds, instrument=first_pass)
+    assert seen[0] == [(model.rewards[s], model.rewards[s]) for s in absorbing]
+    assert len(made) == 8
+    assert not any(tracker.mec.states & set(absorbing) for tracker in made)
+    assert result.converged
+    assert result.lower - 1e-12 <= 6.5 <= result.upper + 1e-12
+
+
+@pytest.mark.parametrize(
+    "family, n",
+    [("treebigmec", 5), ("treemulcomplmec", 6), ("treemulcomplsec", 6)],
+)
+def test_end_components_with_final_exits_settle_in_one_round(family, n):
+    # With the default staying schedule these take 21 rounds.
+    model, _ = generate(family, n=n)
+    result = solve_ce(model, Objective.mean_payoff(model))
+    assert result.converged
+    assert result.iterations == 1
+
+
+def first_precisions(monkeypatch) -> dict[int, float]:
+    """Record the staying precision of every tracker at its first
+    ``process`` call."""
+    firsts: dict[int, float] = {}
+    process = MecTracker.process
+
+    def recording(self, model, bounds):
+        firsts.setdefault(id(self), self.precision)
+        return process(self, model, bounds)
+
+    monkeypatch.setattr(MecTracker, "process", recording)
+    return firsts
+
+
+def loop_above(enter_walk: bool):
+    """Maximizer state 0 loops at reward 4 or leaves.  It leaves into the
+    middle state 17 of a fair walk over 2..31 between the absorbing states
+    1 (reward 0) and 32 (reward 10) if ``enter_walk``, else straight to 1.
+    Only the loop at 0 is an end component that needs a tracker."""
+    actions = [(dirac(0), dirac(17 if enter_walk else 1)), (dirac(1),)]
+    actions += [(dist((s - 1, 0.5), (s + 1, 0.5)),) for s in range(2, 32)]
+    actions.append((dirac(32),))
+    rewards = [4.0] + [0.0] * 31 + [10.0]
+    return build_game([MAX] * 33, actions, rewards, 0)
+
+
+@pytest.mark.parametrize(
+    "enter_walk, max_sweeps, tight",
+    [(False, 1, True), (True, 1, False), (True, DEFAULT_MAX_SWEEPS, False)],
+    ids=["exits-final", "walk-cut-by-budget", "walk-deferred-by-halving"],
+)
+def test_tight_staying_start_only_above_resolved_components(
+    monkeypatch, enter_walk, max_sweeps, tight
+):
+    # The walk closes no gap in one round and halves none, so it is either
+    # cut by a one-round budget or deferred to the next pass; either way
+    # the loop's exit value is still moving when its tracker first runs.
+    firsts = first_precisions(monkeypatch)
+    model = loop_above(enter_walk)
+    objective = Objective.mean_payoff(model)
+    epsilon = 1e-6
+    result = solve_ce(model, objective, epsilon, max_sweeps=max_sweeps)
+    expected = epsilon / 4 if tight else (objective.rmax - objective.rmin) / 8
+    assert list(firsts.values()) == [expected]
+    value = 10.0 * 16 / 31 if enter_walk else 4.0
+    assert result.lower - 1e-12 <= value <= result.upper + 1e-12
+
+
+def tree_compl_value(n: int) -> float:
+    """The value of ``treemulcomplmec`` and ``treemulcomplsec`` of size n,
+    from their structure.  The hub of leaf j (rewards r0 = 3j mod 11,
+    r1 = 3j + 5 mod 11) picks the two-cycle through r1 or the three-cycle
+    through r2 = 7j + 2 and r3 = 7j + 6 (mod 11); the sec leaf's exit is
+    worth more than any reward, so its Minimizer stays too, and a leaf is
+    worth its better cycle average.  The binary tree above alternates
+    max and min layers, max at the root."""
+    layer = []
+    for j in range(2**n):
+        r0, r1 = (3 * j) % 11, (3 * j + 5) % 11
+        r2, r3 = (7 * j + 2) % 11, (7 * j + 6) % 11
+        layer.append(max((r0 + r1) / 2, (r0 + r2 + r3) / 3))
+    level = n - 1
+    while len(layer) > 1:
+        pick = max if level % 2 == 0 else min
+        layer = [pick(a, b) for a, b in zip(layer[::2], layer[1::2])]
+        level -= 1
+    return layer[0]
+
+
+@pytest.mark.parametrize("family", ["treemulcomplmec", "treemulcomplsec"])
+@pytest.mark.parametrize("n", [6, 10])
+def test_tree_compl_families_bracket_their_closed_form(family, n):
+    value = tree_compl_value(n)
+    assert value == 4.5
+    model, _ = generate(family, n=n)
+    result = solve_ce(model, Objective.mean_payoff(model))
+    assert result.converged
+    assert result.lower <= value <= result.upper
+    assert result.upper - result.lower < 2e-6
+
+
+@pytest.mark.parametrize(
+    "family, n, value",
+    [("treemulcomplmec", 2, 6.0), ("treemulcomplmec", 3, 6.5), ("treemulcomplsec", 2, 6.0)],
+)
+def test_tree_compl_closed_form_agrees_with_oracle(family, n, value):
+    assert tree_compl_value(n) == value
+    model, _ = generate(family, n=n)
+    objective = Objective.mean_payoff(model)
+    assert game_value_bruteforce(model, objective, model.initial) == pytest.approx(
+        value, abs=1e-9
+    )
+    result = solve_ce(model, objective)
+    assert result.lower - 1e-12 <= value <= result.upper + 1e-12
