@@ -21,15 +21,13 @@ Two steps settle an end component in one go where that is sound.  Under
 mean payoff every absorbing state is pinned to ``[reward, reward]``: the
 play earns that reward forever, whatever either player does, so this is
 its exact value, and its SCC starts closed, with no MEC search and no
-tracker.  And on entering a component whose exits are final, its trackers
-start the staying iteration at precision epsilon/4, not at the
-(rmax - rmin)/8 that ``MecTracker``'s halving schedule starts from.  The
-exits are final while no component visited earlier in the pass ended
-open and none was ever cut short by ``max_sweeps``: reverse topological
-order puts every successor of a component before it.  The staying
-bracket is sound at any precision, which only bounds how long the
-iteration runs.  Above a component that is still open, the default
-schedule stays."""
+tracker.  And every tracker starts its staying iteration at precision
+epsilon/4, not at the (rmax - rmin)/8 that ``MecTracker``'s halving
+schedule starts from.  The staying bracket is sound at any precision,
+which only bounds how long the iteration runs, and each call runs a
+bounded number of steps.  The iteration reads only the end component's
+internal actions, never its exits, so the steps it runs while a
+component downstream is still open stay valid."""
 
 from __future__ import annotations
 
@@ -71,19 +69,20 @@ def solve_ce(
 
     Under mean payoff, every absorbing state starts at ``[reward,
     reward]``, its exact value, so it needs no end-component tracker; and
-    the trackers of a component whose exits are all resolved start their
-    staying iteration at precision ``epsilon / 4``.  The module docstring
-    gives the soundness argument for both.
+    every tracker starts its staying iteration at precision ``epsilon /
+    4``.  The module docstring gives the soundness argument for both.
 
     ``initial_bounds`` overrides the default initialization (given in the
     original state numbering and the caller's orientation, and required to
     be sound; under mean payoff the absorbing states are pinned all the
-    same); a vector without one entry per state, or with an entry that
-    is NaN or has ``lb > ub``, raises ValueError.  ``enable_deflation``
-    switches the deflate/inflate handling of end components, to study the
-    untreated fixpoint behaviour.  ``enable_collapse`` is accepted for
-    compatibility and ignored: the value-1 and value-0 regions of a
-    reachability query are always made absorbing."""
+    same, unless ``enable_deflation`` is off); a vector without one entry
+    per state, or with an entry that is NaN or has ``lb > ub``, raises
+    ValueError.  ``enable_deflation`` switches all end-component
+    handling, the deflate/inflate trackers and the pin of absorbing states
+    (one-state end components), to study the untreated fixpoint
+    behaviour.  ``enable_collapse`` is accepted for compatibility and
+    ignored: the value-1 and value-0 regions of a reachability query are
+    always made absorbing."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not max_sweeps >= 1:
@@ -111,14 +110,15 @@ def solve_ce(
         bounds = query.orient(initial_bounds).copy()
 
     lb, ub = bounds.lb, bounds.ub
-    if objective.is_mean_payoff:
-        # The value of an absorbing state is its reward.
-        for s in work.states():
-            if work.is_absorbing(s):
-                lb[s] = ub[s] = work.rewards[s]
     components = scc_decompose(work)
     trackers: list[list[MecTracker]] = [[] for _ in components]
     if enable_deflation:
+        if objective.is_mean_payoff:
+            # The value of an absorbing state, a one-state end component,
+            # is its reward.
+            for s in work.states():
+                if work.is_absorbing(s):
+                    lb[s] = ub[s] = work.rewards[s]
         # A MEC lies inside one SCC, so a search per SCC finds them all; an
         # SCC whose bounds all start closed needs no tracker.
         trackers = [
@@ -126,21 +126,19 @@ def solve_ce(
             if any(lb[s] < ub[s] for s in c) else []
             for c in components
         ]
+        for group in trackers:
+            for tracker in group:
+                tracker.precision = min(tracker.precision, epsilon / 4.0)
 
     start = model.initial
     rounds = [0] * len(components)
     pending = list(range(len(components)))
     iterations = 0
     done = False
-    cut = False
     while pending and not done:
         unresolved = []
-        exits_final = not cut
         for i in pending:
             states = components[i]
-            if exits_final:
-                for tracker in trackers[i]:
-                    tracker.precision = min(tracker.precision, epsilon / 4.0)
             widest = max(ub[s] - lb[s] for s in states)
             while rounds[i] < max_sweeps:
                 rounds[i] += 1
@@ -161,9 +159,6 @@ def solve_ce(
                 unresolved.append(i)
             else:
                 trackers[i] = []
-                # A component cut short by the budget stays open for good.
-                cut = cut or widest > epsilon
-            exits_final = exits_final and widest <= epsilon
             done = converged(bounds, start, epsilon)
             if done:
                 break

@@ -336,9 +336,8 @@ class MecTracker:
 
     Processing re-derives the candidate sets only when the recommender
     signature (the optimal actions inside the MEC) has changed.  The
-    staying precision starts at (rmax - rmin)/8 (for reachability 1/8),
-    the schedule PE keeps because its exits move as it explores; CE lowers
-    it to epsilon/4 for a component whose exits are final.  When a
+    staying precision starts at (rmax - rmin)/8 (for reachability 1/8);
+    it is a plain attribute, which a caller may lower.  When a
     tracker is re-processed and its candidates are unchanged, the staying
     precision is halved so the bracket keeps tightening.  The staying
     cache holds one iteration per end component (keyed by the

@@ -15,7 +15,7 @@ from conftest import (
     split_value_mec_model,
 )
 from sgsolve.bounds import BoundsVector, state_update
-from sgsolve.ce import DEFAULT_MAX_SWEEPS, solve_ce
+from sgsolve.ce import solve_ce
 from sgsolve.ecsolve import MecTracker
 from sgsolve.generators import fig1_left, fig1_right, fig2_chain, generate
 from sgsolve.model import build_game
@@ -437,6 +437,8 @@ def test_budget_counts_rounds_of_the_slowest_component():
     assert result.converged is False
     assert result.iterations == 50
     assert result.lower - 1e-12 <= exact <= result.upper + 1e-12
+    # Without end-component handling the absorbing states are not pinned.
+    assert [(result.bounds.lb[s], result.bounds.ub[s]) for s in (4, 5)] == [(0.0, 10.0)] * 2
 
 
 @pytest.mark.parametrize("open_start", [False, True], ids=["default", "open-initial-bounds"])
@@ -478,9 +480,10 @@ def test_end_components_with_final_exits_settle_in_one_round(family, n):
     assert result.iterations == 1
 
 
-def first_precisions(monkeypatch) -> dict[int, float]:
-    """Record the staying precision of every tracker at its first
-    ``process`` call."""
+def test_trackers_start_at_the_tight_staying_precision(monkeypatch):
+    # Only deflation lowers the loop's upper bound to its exit value 5;
+    # the loop's tracker starts its staying iteration at epsilon/4, not at
+    # (rmax - rmin)/8.
     firsts: dict[int, float] = {}
     process = MecTracker.process
 
@@ -489,41 +492,12 @@ def first_precisions(monkeypatch) -> dict[int, float]:
         return process(self, model, bounds)
 
     monkeypatch.setattr(MecTracker, "process", recording)
-    return firsts
-
-
-def loop_above(enter_walk: bool):
-    """Maximizer state 0 loops at reward 4 or leaves.  It leaves into the
-    middle state 17 of a fair walk over 2..31 between the absorbing states
-    1 (reward 0) and 32 (reward 10) if ``enter_walk``, else straight to 1.
-    Only the loop at 0 is an end component that needs a tracker."""
-    actions = [(dirac(0), dirac(17 if enter_walk else 1)), (dirac(1),)]
-    actions += [(dist((s - 1, 0.5), (s + 1, 0.5)),) for s in range(2, 32)]
-    actions.append((dirac(32),))
-    rewards = [4.0] + [0.0] * 31 + [10.0]
-    return build_game([MAX] * 33, actions, rewards, 0)
-
-
-@pytest.mark.parametrize(
-    "enter_walk, max_sweeps, tight",
-    [(False, 1, True), (True, 1, False), (True, DEFAULT_MAX_SWEEPS, False)],
-    ids=["exits-final", "walk-cut-by-budget", "walk-deferred-by-halving"],
-)
-def test_tight_staying_start_only_above_resolved_components(
-    monkeypatch, enter_walk, max_sweeps, tight
-):
-    # The walk closes no gap in one round and halves none, so it is either
-    # cut by a one-round budget or deferred to the next pass; either way
-    # the loop's exit value is still moving when its tracker first runs.
-    firsts = first_precisions(monkeypatch)
-    model = loop_above(enter_walk)
-    objective = Objective.mean_payoff(model)
+    model, _ = fig1_left()
+    loose = BoundsVector([4.0, 4.0], [10.0, 10.0])
     epsilon = 1e-6
-    result = solve_ce(model, objective, epsilon, max_sweeps=max_sweeps)
-    expected = epsilon / 4 if tight else (objective.rmax - objective.rmin) / 8
-    assert list(firsts.values()) == [expected]
-    value = 10.0 * 16 / 31 if enter_walk else 4.0
-    assert result.lower - 1e-12 <= value <= result.upper + 1e-12
+    result = solve_ce(model, Objective.mean_payoff(model), epsilon, initial_bounds=loose)
+    assert list(firsts.values()) == [epsilon / 4]
+    assert result.lower - 1e-12 <= 5.0 <= result.upper + 1e-12
 
 
 def tree_compl_value(n: int) -> float:
