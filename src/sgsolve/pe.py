@@ -13,7 +13,14 @@ The end components are maintained incrementally: a component refresh
 decomposes again only the explored SCCs that hold a state expanded since
 the last refresh, and keeps the trackers of every other MEC, whose
 ``process`` is then skipped for as long as nothing it reads has moved
-(see ``MecTracker``).
+(see ``MecTracker``); a tracker found settled is not checked again.
+
+Each refresh ends with two Gauss-Seidel sweeps over the explored region
+that are driven by changes: a predecessor index, grown as states are
+expanded, marks dirty the states a bound move can reach, and only dirty
+states are updated.  A clean state's update would change nothing, since
+the update is idempotent while its successors' bounds stay put, so the
+bounds are bit for bit those of two full sweeps (see ``_sweep``).
 """
 
 from __future__ import annotations
@@ -55,12 +62,27 @@ class PartialState:
         # brought up to date, and the states passed to ``mec_decompose`` so far.
         self.added: list[int] = []
         self.decomposed_states = 0
+        # Per state, the explored states with an action leading to it.
+        self.preds: dict[int, set[int]] = {}
+        # Explored states whose ``state_update`` may move a bound: a
+        # successor's bound has moved since their last sweep update, or
+        # they have had none.  ``recorded`` holds the bounds that the last
+        # sweep left on the explored states (the a-priori ones elsewhere).
+        self.dirty: set[int] = set()
+        self.recorded = self.bounds.copy()
+        # Trackers found settled; gaps never widen, so they stay settled.
+        self.settled: set[MecTracker] = set()
+        self.sweep_updates = 0
 
     def expand(self, state: int) -> None:
         if state in self.explored:
             return
         self.explored.add(state)
         self.added.append(state)
+        self.dirty.add(state)
+        for dist in self.model.actions[state]:
+            for t, _ in dist.support:
+                self.preds.setdefault(t, set()).add(state)
         if self.objective.kind is ObjectiveKind.REACHABILITY:
             if state in self.objective.goal:
                 self.bounds.lb[state] = 1.0
@@ -68,9 +90,6 @@ class PartialState:
             elif state in self.objective.avoid:
                 self.bounds.lb[state] = 0.0
                 self.bounds.ub[state] = 0.0
-
-    def gap(self, state: int) -> float:
-        return self.bounds.ub[state] - self.bounds.lb[state]
 
 
 def _guidance_action(model: GameModel, state: int, bounds: BoundsVector) -> int:
@@ -83,7 +102,7 @@ def _guidance_action(model: GameModel, state: int, bounds: BoundsVector) -> int:
 def _sample_successor(
     dist: Distribution, part: PartialState, rng: random.Random
 ) -> int:
-    weights = [p * part.gap(t) for t, p in dist.support]
+    weights = [p * part.bounds.gap(t) for t, p in dist.support]
     total = sum(weights)
     if total <= 0.0:
         weights = [p for _, p in dist.support]
@@ -118,7 +137,7 @@ def sample_path(
         visits[state] = visits.get(state, 0) + 1
         if model.is_absorbing(state):
             break
-        if part.gap(state) < 2.0 * epsilon:
+        if part.bounds.gap(state) < 2.0 * epsilon:
             break
         if visits[state] > REVISIT_BUDGET:
             looped = True
@@ -132,7 +151,7 @@ def sample_path(
             # the current state so backpropagation keeps updating it.
             def _exit_weight(exit):
                 s, a = exit
-                return sum(p * part.gap(t) for t, p in model.distribution(s, a).support)
+                return sum(p * part.bounds.gap(t) for t, p in model.distribution(s, a).support)
 
             from_state, action = max(entries, key=_exit_weight)
             dist = model.distribution(from_state, action)
@@ -201,12 +220,19 @@ def _refresh_components(
     result equals ``mec_decompose(model, restrict_to=part.explored)``,
     in its order.
 
-    A processed component's states get their memory anew: the exits its
+    A tracker found settled is remembered in ``part.settled`` and not
+    checked again (gaps never widen); it stays in the returned list.  A
+    processed component's states get their memory anew: the exits its
     ``process`` call returned, for the candidates holding each state, in
     the order returned.  A skipped component's memory holds the exits of
     its last processing already, and a settled component's entries are
     left as they are: ``sample_path`` stops at its states (gap below
-    ``2 * epsilon``) before it reads the memory."""
+    ``2 * epsilon``) before it reads the memory.
+
+    Last, ``_sweep`` carries the new bounds through the explored region in
+    two change-driven sweeps: only states with a successor whose bounds
+    moved since their last update are updated, which gives exactly the
+    bounds of two full sweeps."""
     fresh = trackers
     if part.added:
         region = _changed_region(model, part.explored, part.added)
@@ -224,7 +250,7 @@ def _refresh_components(
             for s in tracker.mec.states:
                 old_by_state[s] = tracker
         for mec in mec_decompose(model, restrict_to=region).mecs:
-            tracker = old_by_mec.get(mec)
+            tracker = old_by_mec.pop(mec, None)
             if tracker is None:
                 tracker = MecTracker(mec, objective)
                 for s in mec.states:
@@ -233,8 +259,12 @@ def _refresh_components(
                         tracker.absorb(old)
             fresh.append(tracker)
         fresh.sort(key=lambda tracker: min(tracker.mec.states))
+        part.settled.difference_update(old_by_mec.values())
     for tracker in fresh:
+        if tracker in part.settled:
+            continue
         if tracker.settled(part.bounds, epsilon):
+            part.settled.add(tracker)
             continue
         exits = tracker.process(model, part.bounds)
         if exits is None:
@@ -245,14 +275,46 @@ def _refresh_components(
             for states, exit in exits:
                 for s in states:
                     memory.setdefault(s, []).append(exit)
-    # Simulations jump straight to recorded exits, so interior component
-    # states do not appear on paths; sweep the explored region so exit
-    # values still propagate to them.
+    _sweep(model, part)
+    return fresh
+
+
+def _sweep(model: GameModel, part: PartialState) -> None:
+    """Two Gauss-Seidel sweeps over the explored region, in descending id
+    order, that update only the dirty states.
+
+    Simulations jump straight to recorded exits, so interior component
+    states do not appear on paths; the sweeps carry exit values to them.
+    First the predecessors of every explored state whose bounds moved
+    since the last sweep (by backpropagation, de-/inflation or pinning in
+    ``expand``) become dirty; in a sweep, a dirty state is updated and
+    made clean, and if a bound of it moves, its predecessors become dirty:
+    those later in the order are updated in the same sweep, the others in
+    the next one or at the next refresh.
+
+    Skipping a clean state skips a call that would change nothing, so the
+    bounds are exactly those of two full sweeps.  ``state_update`` is
+    idempotent while no successor's bounds move.  A state's own bounds
+    may move in between, but that cannot make the update move them again:
+    ``ub`` only falls and ``lb`` only rises, so a bound at or past the
+    one-step optimum stays there, and each is clamped to the other."""
+    bounds, recorded, preds, dirty = part.bounds, part.recorded, part.preds, part.dirty
+    lb, ub, seen_lb, seen_ub = bounds.lb, bounds.ub, recorded.lb, recorded.ub
     order = sorted(part.explored, reverse=True)
+    for s in order:
+        if lb[s] != seen_lb[s] or ub[s] != seen_ub[s]:
+            seen_lb[s], seen_ub[s] = lb[s], ub[s]
+            dirty.update(preds.get(s, ()))
     for _ in range(2):
         for s in order:
-            state_update(model, part.bounds, s)
-    return fresh
+            if s not in dirty:
+                continue
+            dirty.discard(s)
+            part.sweep_updates += 1
+            state_update(model, bounds, s)
+            if lb[s] != seen_lb[s] or ub[s] != seen_ub[s]:
+                seen_lb[s], seen_ub[s] = lb[s], ub[s]
+                dirty.update(preds.get(s, ()))
 
 
 def solve_pe(
@@ -272,9 +334,10 @@ def solve_pe(
     it, simulations can keep looping inside an end component whose bounds
     are already fully deflated and the path budget runs out.  A
     ``max_paths`` below 1 raises ValueError.  ``stats`` holds the seed,
-    the number of component refreshes (``refreshes``) and the total size
+    the number of component refreshes (``refreshes``), the total size
     of the regions they passed to ``mec_decompose``
-    (``decomposed_states``)."""
+    (``decomposed_states``) and the number of ``state_update`` calls
+    their change-driven sweeps made (``sweep_updates``)."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not max_paths >= 1:
@@ -322,5 +385,6 @@ def solve_pe(
             "seed": seed,
             "refreshes": refreshes,
             "decomposed_states": part.decomposed_states,
+            "sweep_updates": part.sweep_updates,
         },
     ))

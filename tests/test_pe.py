@@ -4,6 +4,7 @@ import pytest
 
 from conftest import random_game, random_objective, relabelled
 from sgsolve import pe
+from sgsolve.bounds import state_update
 from sgsolve.ce import solve_ce
 from sgsolve.ecsolve import MecTracker
 from sgsolve.generators import fig1_left, fig1_right, fig2_chain, generate
@@ -339,3 +340,109 @@ class TestJumpMemory:
         result = solve_pe(model, Objective.reachability(labels["goal"]), seed=1)
         assert result.converged
         assert checked_memory["processed"] > 0
+
+
+# Random games, then relabelled family games under reach, safety and mean
+# payoff.
+SWEEP_FAMILIES = [
+    ("treemulsec", {"n": 4}, "mean-payoff"),
+    ("treebigmec", {"n": 3}, "mean-payoff"),
+    ("fig2chain", {"k": 5}, "reach"),
+    ("fig2chain", {"k": 5}, "safety"),
+    ("dicerace", {"target": 8}, "reach"),
+    ("dicerace", {"target": 8}, "safety"),
+    ("dicerace", {"target": 8}, "mean-payoff"),
+]
+
+
+def sweep_instances(rng, count=100):
+    """(model, objective, seed, path budget) of ``count`` random games,
+    then of the relabelled family games."""
+    for _ in range(count):
+        model = random_game(rng, max_states=8)
+        yield model, random_objective(rng, model), rng.randrange(1000), 300
+    for family, params, query in SWEEP_FAMILIES:
+        model, labels = relabelled(*generate(family, **params), 5)
+        if query == "reach":
+            objective = Objective.reachability(labels["goal"])
+        elif query == "safety":
+            objective = Objective.safety(labels["goal"])
+        else:
+            objective = Objective.mean_payoff(model)
+        yield model, objective, 5, pe.DEFAULT_MAX_PATHS
+
+
+def full_sweeps(model, part):
+    """Reference for ``pe._sweep``: two updates of every explored state,
+    in descending id order, dirty or not."""
+    order = sorted(part.explored, reverse=True)
+    for _ in range(2):
+        for s in order:
+            state_update(model, part.bounds, s)
+    part.sweep_updates += 2 * len(order)
+
+
+def fingerprint(result):
+    return (
+        [x.hex() for x in result.bounds.lb],
+        [x.hex() for x in result.bounds.ub],
+        result.iterations,
+        result.states_explored,
+    )
+
+
+class TestChangeDrivenSweeps:
+    def test_clean_states_are_fixed_points(self, monkeypatch, rng):
+        """After every refresh, an update of an explored state outside the
+        dirty set moves no bound."""
+        real = pe._refresh_components
+        checked = []
+
+        def refresh(model, part, *args):
+            trackers = real(model, part, *args)
+            probe = part.bounds.copy()
+            clean = part.explored - part.dirty
+            for s in clean:
+                state_update(model, probe, s)
+                assert (probe.lb[s], probe.ub[s]) == (part.bounds.lb[s], part.bounds.ub[s])
+            checked.append(len(clean))
+            return trackers
+
+        monkeypatch.setattr(pe, "_refresh_components", refresh)
+        for model, objective, seed, budget in sweep_instances(rng):
+            solve_pe(model, objective, seed=seed, max_paths=budget)
+        assert sum(checked) > 0
+
+    def test_bit_identical_to_full_sweeps(self, monkeypatch, rng):
+        for model, objective, seed, budget in sweep_instances(rng):
+            result = solve_pe(model, objective, seed=seed, max_paths=budget)
+            with monkeypatch.context() as patch:
+                patch.setattr(pe, "_sweep", full_sweeps)
+                reference = solve_pe(model, objective, seed=seed, max_paths=budget)
+            assert fingerprint(result) == fingerprint(reference)
+            assert result.stats["sweep_updates"] <= reference.stats["sweep_updates"]
+
+    def test_sweep_updates_fall_tenfold(self, monkeypatch):
+        model, _ = generate("treemulsec", n=7)
+        objective = Objective.mean_payoff(model)
+        result = solve_pe(model, objective, seed=7)
+        monkeypatch.setattr(pe, "_sweep", full_sweeps)
+        reference = solve_pe(model, objective, seed=7)
+        assert fingerprint(result) == fingerprint(reference)
+        assert 0 < 10 * result.stats["sweep_updates"] < reference.stats["sweep_updates"]
+
+    def test_settled_trackers_are_not_checked_again(self, monkeypatch, rng):
+        real = MecTracker.settled
+        settled = set()
+
+        def check(tracker, bounds, epsilon):
+            assert tracker not in settled
+            if real(tracker, bounds, epsilon):
+                settled.add(tracker)
+                return True
+            return False
+
+        monkeypatch.setattr(MecTracker, "settled", check)
+        for model, objective, seed, budget in sweep_instances(rng):
+            solve_pe(model, objective, seed=seed, max_paths=budget)
+        assert settled
