@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -101,9 +102,10 @@ def extract_strategy(model: GameModel, bounds: BoundsVector, player: Player) -> 
 
 
 def converged(bounds: BoundsVector, state: int, epsilon: float) -> bool:
-    """Whether the midpoint of the bounds is an epsilon-precise value."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    """Whether the midpoint of the bounds is an epsilon-precise value;
+    an ``epsilon`` that is not positive and finite raises ValueError."""
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     return bounds.ub[state] - bounds.lb[state] < 2.0 * epsilon
 
 

@@ -31,6 +31,7 @@ component downstream is still open stay valid."""
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 from .bounds import BoundsVector, converged, midpoint, state_update
@@ -62,10 +63,13 @@ def solve_ce(
     ``iterations`` is the largest number of rounds any one component
     received, which for a game that is one component is the number of
     sweeps, and ``max_sweeps`` caps it: a component that has had that many
-    rounds gets no more; a cap below 1 raises ValueError.  Returns
+    rounds gets no more; a cap below 1, or an ``epsilon`` that is not
+    positive and finite, raises ValueError.  Returns
     certified bounds even when the budget runs out (``converged`` is False
     then).  ``instrument(iterations, model, bounds)`` is called after
-    every pass.
+    every pass.  ``stats`` holds the size of the working model
+    (``working_states``) and the number of staying-value steps the
+    trackers ran (``staying_steps``).
 
     Under mean payoff, every absorbing state starts at ``[reward,
     reward]``, its exact value, so it needs no end-component tracker; and
@@ -83,8 +87,8 @@ def solve_ce(
     behaviour.  ``enable_collapse`` is accepted for compatibility and
     ignored: the value-1 and value-0 regions of a reachability query are
     always made absorbing."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not max_sweeps >= 1:
         raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
     if initial_bounds is not None:
@@ -126,9 +130,10 @@ def solve_ce(
             if any(lb[s] < ub[s] for s in c) else []
             for c in components
         ]
-        for group in trackers:
-            for tracker in group:
-                tracker.precision = min(tracker.precision, epsilon / 4.0)
+    # Every tracker, also those dropped once their component is resolved.
+    made = [tracker for group in trackers for tracker in group]
+    for tracker in made:
+        tracker.precision = min(tracker.precision, epsilon / 4.0)
 
     start = model.initial
     rounds = [0] * len(components)
@@ -178,5 +183,8 @@ def solve_ce(
         converged=done,
         bounds=bounds,
         state_map=tuple(range(model.num_states)),
-        stats={"working_states": work.num_states},
+        stats={
+            "working_states": work.num_states,
+            "staying_steps": sum(tracker.staying_steps for tracker in made),
+        },
     ))

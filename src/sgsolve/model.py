@@ -10,9 +10,9 @@ produces a fresh model over the same state ids.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
 
 PROBABILITY_SUM_TOLERANCE = 1e-12
 

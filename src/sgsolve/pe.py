@@ -25,6 +25,7 @@ bounds are bit for bit those of two full sweeps (see ``_sweep``).
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Callable, Optional
 
@@ -73,6 +74,8 @@ class PartialState:
         # Trackers found settled; gaps never widen, so they stay settled.
         self.settled: set[MecTracker] = set()
         self.sweep_updates = 0
+        # The staying-value steps of the trackers dropped so far.
+        self.dropped_staying_steps = 0
 
     def expand(self, state: int) -> None:
         if state in self.explored:
@@ -260,6 +263,7 @@ def _refresh_components(
             fresh.append(tracker)
         fresh.sort(key=lambda tracker: min(tracker.mec.states))
         part.settled.difference_update(old_by_mec.values())
+        part.dropped_staying_steps += sum(t.staying_steps for t in old_by_mec.values())
     for tracker in fresh:
         if tracker in part.settled:
             continue
@@ -333,13 +337,16 @@ def solve_pe(
     ``use_deflate_memory`` disables the jump-to-recorded-exit fix; without
     it, simulations can keep looping inside an end component whose bounds
     are already fully deflated and the path budget runs out.  A
-    ``max_paths`` below 1 raises ValueError.  ``stats`` holds the seed,
-    the number of component refreshes (``refreshes``), the total size
-    of the regions they passed to ``mec_decompose``
-    (``decomposed_states``) and the number of ``state_update`` calls
-    their change-driven sweeps made (``sweep_updates``)."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    ``max_paths`` below 1, or an ``epsilon`` that is not positive and
+    finite, raises ValueError.  ``stats`` holds the seed, the number of
+    component refreshes (``refreshes``), the total size of the regions
+    they passed to ``mec_decompose`` (``decomposed_states``), the number
+    of ``state_update`` calls their change-driven sweeps made
+    (``sweep_updates``) and the number of staying-value steps the
+    trackers ran, those of trackers dropped as their components grew
+    included (``staying_steps``)."""
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not max_paths >= 1:
         raise ValueError(f"max_paths must be at least 1, got {max_paths}")
     query = prepare(model, objective)
@@ -386,5 +393,7 @@ def solve_pe(
             "refreshes": refreshes,
             "decomposed_states": part.decomposed_states,
             "sweep_updates": part.sweep_updates,
+            "staying_steps": part.dropped_staying_steps
+            + sum(tracker.staying_steps for tracker in trackers),
         },
     ))

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from sgsolve import Objective
+from sgsolve import Objective, ecsolve
 from sgsolve.model import Distribution, GameModel, Player, build_game
 
 MAX = Player.MAXIMIZER
@@ -121,3 +121,18 @@ def random_objective(rng: random.Random, model: GameModel) -> Objective:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def staying_steps(monkeypatch) -> list[int]:
+    """A one-element list counting every plain staying-value step, whichever
+    tracker runs it."""
+    count = [0]
+    step = ecsolve._StayingIteration.step
+
+    def counting(self):
+        count[0] += 1
+        step(self)
+
+    monkeypatch.setattr(ecsolve._StayingIteration, "step", counting)
+    return count

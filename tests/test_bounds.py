@@ -79,6 +79,8 @@ def test_converged_rejects_bad_epsilon():
         converged(b, 0, 0.0)
     with pytest.raises(ValueError):
         converged(b, 0, float("nan"))
+    with pytest.raises(ValueError):
+        converged(b, 0, float("inf"))
 
 
 def test_midpoint():

@@ -185,6 +185,13 @@ def test_bad_epsilon_rejected():
         solve_ce(model, Objective.mean_payoff(model), epsilon=float("nan"), max_sweeps=10)
 
 
+@pytest.mark.parametrize("epsilon", [float("inf"), -float("inf")])
+def test_infinite_epsilon_rejected(epsilon):
+    model, labels = fig2_chain(2)
+    with pytest.raises(ValueError, match="positive and finite"):
+        solve_ce(model, Objective.reachability(labels["goal"]), epsilon=epsilon)
+
+
 def test_sweep_budget_below_one_rejected():
     model, labels = fig2_chain(2)
     for budget in (0, -5):
@@ -546,3 +553,24 @@ def test_tree_compl_closed_form_agrees_with_oracle(family, n, value):
     )
     result = solve_ce(model, objective)
     assert result.lower - 1e-12 <= value <= result.upper + 1e-12
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [("treebigmec", {"n": 5}), ("treemulcomplsec", {"n": 4}), ("treemulsec", {"n": 3})],
+)
+def test_stats_count_every_staying_step(staying_steps, family, params):
+    model, _ = generate(family, **params)
+    result = solve_ce(model, Objective.mean_payoff(model))
+    assert result.stats["staying_steps"] == staying_steps[0] > 0
+
+
+def test_extrapolated_staying_iteration_settles_one_big_component():
+    """treebigmec n=9 (one end component of 1,023 states) took 896 plain
+    staying steps; extrapolated, it takes at most 300, and the interval
+    stays narrower than twice epsilon around the value 6.1."""
+    model, _ = generate("treebigmec", n=9)
+    result = solve_ce(model, Objective.mean_payoff(model))
+    assert result.converged
+    assert result.lower <= 6.1 <= result.upper
+    assert result.stats["staying_steps"] <= 300

@@ -103,6 +103,17 @@ def test_nan_precision_is_usage_error(capsys):
     assert "epsilon must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["ce", "pe"])
+def test_infinite_precision_is_usage_error(capsys, mode):
+    """An infinite epsilon would make every interval "converged"."""
+    code = run(["--generate", "fig2chain", "--param", "k=2", "--goal", "goal",
+                "--mode", mode, "--precision", "inf"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "epsilon must be positive and finite" in captured.err
+
+
 def test_missing_file_is_usage_error(capsys):
     code = run(["--model", "/nonexistent.sg", "--objective", "mean-payoff"])
     assert code == 1

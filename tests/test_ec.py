@@ -12,6 +12,7 @@ from sgsolve.ce import solve_ce
 from sgsolve.ecsolve import (
     MecTracker,
     SecCandidate,
+    _StayingIteration,
     best_exit,
     deflate,
     inflate,
@@ -21,7 +22,7 @@ from sgsolve.ecsolve import (
 )
 from sgsolve.generators import fig1_left, fig1_right, generate
 from sgsolve.graph import EndComponent, mec_decompose
-from sgsolve.model import build_game
+from sgsolve.model import Distribution, build_game
 from sgsolve.objectives import Objective
 from sgsolve.oracle import SingularSystem, TooLarge, game_value_bruteforce
 from sgsolve.pe import solve_pe
@@ -173,29 +174,54 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
+def plain_staying(iteration, precision):
+    """``staying_bounds``'s loop over an iteration, with plain steps only."""
+    budget = max(64, 4 * len(iteration.members))
+    steps = 0
+    while iteration.hi - iteration.lo > precision and steps < budget:
+        steps += 1
+        iteration.step()
+    return iteration.lo, iteration.hi
+
+
+def internal_game(model, ec):
+    """The game restricted to the internal actions of ``ec``, its members
+    numbered in ascending order."""
+    members = sorted(ec.states)
+    index = {s: i for i, s in enumerate(members)}
+    amap = ec.action_map()
+    actions = [
+        tuple(
+            Distribution.of((index[t], p) for t, p in model.distribution(s, a).support)
+            for a in amap[s]
+        )
+        for s in members
+    ]
+    return build_game(
+        [model.owner(s) for s in members], actions, [model.rewards[s] for s in members], 0
+    )
+
+
 class TestCompiledStayingIteration:
     def test_matches_dict_reference_on_random_ecs(self, rng):
-        """Bit-identical brackets, differences and iterates on random
-        mean-payoff end components, over tightening precisions that each
-        resume the cached iteration."""
+        """Bit-identical brackets, differences and iterates of plain steps
+        on random mean-payoff end components, over tightening precisions
+        that each resume the iteration."""
         checked = 0
         while checked < 200:
             model = random_game(rng, max_states=8)
-            objective = Objective.mean_payoff(model)
             for mec in mec_decompose(model).mecs:
                 checked += 1
-                candidate = SecCandidate(mec, rng.choice([MAX, MIN]))
-                cache = {}
+                iteration = _StayingIteration.compile(model, mec)
                 reference = {
                     "x": {s: 0.0 for s in mec.states},
                     "lo": -math.inf,
                     "hi": math.inf,
                 }
                 for precision in (1.0, 1e-4, 1e-9, 1e-15):
-                    got = staying_bounds(model, candidate, objective, precision, cache)
+                    got = plain_staying(iteration, precision)
                     want = reference_staying(model, mec, precision, reference)
                     assert bits(got) == bits(want)
-                    iteration = cache[mec]
                     assert iteration.members == sorted(mec.states)
                     assert bits(iteration.diffs) == bits(
                         reference["diffs"][s] for s in iteration.members
@@ -205,8 +231,64 @@ class TestCompiledStayingIteration:
                     )
 
 
+class TestStayingBracket:
+    def test_one_step_from_any_iterate_brackets_every_staying_value(self, rng):
+        """From a random finite iterate, the least and the greatest
+        difference of one plain step bracket the staying value of every
+        member, on end components with and without a uniform value."""
+        uniform = split = 0
+        while uniform < 60 or split < 30:
+            model = random_game(rng, max_states=7)
+            for mec in mec_decompose(model).mecs:
+                game = internal_game(model, mec)
+                try:
+                    values = game_value_bruteforce(game, Objective.mean_payoff(game))
+                except (TooLarge, SingularSystem):
+                    continue
+                if max(values) - min(values) > 1e-9:
+                    split += 1
+                else:
+                    uniform += 1
+                iteration = _StayingIteration.compile(model, mec)
+                iteration.x = [rng.uniform(-1e3, 1e3) for _ in iteration.members]
+                iteration.step()
+                low, high = min(iteration.diffs), max(iteration.diffs)
+                assert (iteration.lo, iteration.hi) == (low, high)
+                for value in values:
+                    assert low - 1e-9 <= value <= high + 1e-9
+
+    def test_extrapolation_halves_the_steps_on_one_big_component(self):
+        """treebigmec n=7 is one end component of 255 states whose plain
+        staying iteration contracts slowly.  Extrapolated, the bracket of
+        ``staying_bounds`` closes to 2.5e-7 in at most half the plain
+        steps, and it brackets the plain long-run value."""
+        model, _ = generate("treebigmec", n=7)
+        (mec,) = mec_decompose(model).mecs
+        objective = Objective.mean_payoff(model)
+        precision = 2.5e-7
+        cache = {}
+        for _ in range(10):
+            lo, hi = staying_bounds(model, SecCandidate(mec, MAX), objective, precision, cache)
+        assert hi - lo <= precision
+        plain = _StayingIteration.compile(model, mec)
+        for _ in range(10):
+            plain_staying(plain, precision)
+        assert plain.hi - plain.lo <= precision
+        assert 2 * cache[mec].steps <= plain.steps
+        for _ in range(10):
+            settled = plain_staying(plain, 1e-12)
+        assert lo <= settled[0] <= settled[1] <= hi
+
+
 class TestSplitCandidates:
-    def test_split_value_mec_splits_into_singletons(self):
+    def test_split_value_mec_splits_into_singletons(self, monkeypatch):
+        """The stalled bracket is not extrapolated, so the split reads the
+        differences of the plain sequence."""
+
+        def no_extrapolation(xs):
+            raise AssertionError("a stalled bracket was extrapolated")
+
+        monkeypatch.setattr(ecsolve, "_extrapolate", no_extrapolation)
         model = split_value_mec_model()
         (mec,) = mec_decompose(model).mecs
         candidate = SecCandidate(mec, MAX)

@@ -1,5 +1,7 @@
 """Model construction, validation and strategy fixing."""
 
+from types import MappingProxyType
+
 import pytest
 
 from conftest import MAX, MIN, chain_model, dirac, dist, loop_exit_model
@@ -24,6 +26,14 @@ class TestDistribution:
     def test_of_drops_zero_probability(self):
         d = Distribution.of([(0, 1.0), (3, 0.0)])
         assert d.support == ((0, 1.0),)
+
+    def test_of_accepts_mappings_and_iterables_alike(self):
+        pairs = [(2, 0.25), (0, 0.75)]
+        want = Distribution(((0, 0.75), (2, 0.25)))
+        assert Distribution.of(dict(pairs)) == want
+        assert Distribution.of(MappingProxyType(dict(pairs))) == want
+        assert Distribution.of(pairs) == want
+        assert Distribution.of(pair for pair in pairs) == want
 
     def test_dirac(self):
         d = Distribution.dirac(7)

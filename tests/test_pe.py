@@ -167,6 +167,36 @@ def test_bad_epsilon_rejected():
         solve_pe(model, Objective.mean_payoff(model), epsilon=float("nan"), max_paths=10)
 
 
+@pytest.mark.parametrize("epsilon", [float("inf"), -float("inf")])
+def test_infinite_epsilon_rejected(epsilon):
+    model, labels = fig2_chain(2)
+    with pytest.raises(ValueError, match="positive and finite"):
+        solve_pe(model, Objective.reachability(labels["goal"]), epsilon=epsilon)
+
+
+@pytest.mark.parametrize(
+    "family, params", [("treebigmec", {"n": 5}), ("treemulcomplsec", {"n": 3})]
+)
+def test_stats_count_the_staying_steps_of_dropped_trackers(
+    monkeypatch, staying_steps, family, params
+):
+    """Trackers are replaced as their components grow; ``staying_steps``
+    still counts every plain staying-value step of the solve."""
+    dropped = []
+    refresh = pe._refresh_components
+
+    def recording(model, part, *args):
+        fresh = refresh(model, part, *args)
+        dropped.append(part.dropped_staying_steps)
+        return fresh
+
+    monkeypatch.setattr(pe, "_refresh_components", recording)
+    model, _ = generate(family, **params)
+    result = solve_pe(model, Objective.mean_payoff(model))
+    assert dropped[-1] > 0
+    assert result.stats["staying_steps"] == staying_steps[0]
+
+
 @pytest.mark.parametrize(
     "family, params, reference",
     [
