@@ -7,6 +7,26 @@ raised (inflate).  Candidates are found per game MEC by fixing the
 opposing player to its currently optimal choices and searching for end
 components in the induced restriction.
 
+That restriction serves convergence, not soundness: de-/inflating any
+end component T of the game, the whole MEC included, keeps every bound
+sound (with every goal state absorbing, as the solvers make it).  Let
+S* be the states of T where the value v* is largest, and suppose v*
+exceeded both T's best Maximizer exit and the upper end of T's staying
+bracket.  An exit is worth at most its upper bound, so every optimal
+Maximizer action at S* is internal to T, and it has all its successors
+in S*, since no state of T is worth more than v*.  Every internal
+Minimizer action at S* is worth at least v* and at most v*, so it too
+stays in S*.  A play from S* in which Maximizer follows an optimal
+strategy and Minimizer plays only internal actions thus never leaves
+S*; each of its recurrent classes lies in S*, where the staying value of
+the game restricted to S* caps its gain.  That staying value is at most
+T's staying bound, because at S* Minimizer keeps all its internal
+actions of T and Maximizer has fewer.  So Maximizer's optimal strategy
+earns less than v* against some Minimizer strategy, a contradiction;
+inflate is the dual.  Restricting the opponent to its optimal actions
+only makes the candidates tighter, so that the bounds close sooner;
+``MecTracker.process_whole`` de-/inflates the MEC itself.
+
 The staying value of a mean-payoff candidate is bracketed by value
 iteration on the game restricted to its internal actions: the least and
 the greatest difference ``T(x) - x`` of one step from any finite iterate
@@ -77,7 +97,9 @@ def sec_candidates(
     one of them per state): the upper-bound optimal ones when deflating
     for Maximizer, the lower-bound optimal ones when inflating for
     Minimizer.  Keeping every optimal action (rather than one) means ties
-    cannot hide a region where the players may remain.
+    cannot hide a region where the players may remain.  The restriction
+    serves convergence, not soundness: de-/inflating any end component,
+    restricted or not, is sound (see the module docstring).
     """
     opponent = beneficiary.opponent
     # When the opponent's optimal actions cover all of its internal MEC
@@ -464,18 +486,22 @@ class MecTracker:
     sets, cached staying-value iterations and the refinement precision.
 
     Processing re-derives the candidate sets only when the recommender
-    signature (the optimal actions inside the MEC) has changed.  The
-    staying precision starts at (rmax - rmin)/8 (for reachability 1/8);
-    it is a plain attribute, which a caller may lower.  When a
-    tracker is re-processed and its candidates are unchanged, the staying
+    signature (the optimal actions inside the MEC) has changed.  Those
+    candidates restrict the opponent to its optimal actions, which makes
+    them tighter and so serves convergence; soundness does not depend on
+    it, and ``process_whole`` de-/inflates the MEC itself with no search
+    at all.  The staying precision starts at (rmax - rmin)/8 (for
+    reachability 1/8); it is a plain attribute, which a caller may lower.
+    When a tracker is re-processed and its candidates are unchanged, the staying
     precision is halved so the bracket keeps tightening.  The staying
     cache holds one iteration per end component (keyed by the
     ``EndComponent`` itself), compiled once and shared by the deflated
     Maximizer candidate and the inflated Minimizer candidate over it.
 
     ``staying_steps`` counts the staying-value steps that its ``process``
-    calls ran, in cached iterations it absorbed too (the steps those ran
-    before are counted by the tracker they came from).
+    and ``process_whole`` calls ran, in cached iterations it absorbed too
+    (the steps those ran before are counted by the tracker they came
+    from).
 
     A ``process`` call that changes no bound and splits no candidate is
     quiet.  After one, the tracker keeps the bounds that processing reads
@@ -658,6 +684,28 @@ class MecTracker:
         if quiet:
             self._remember_quiet(model, bounds)
         return used
+
+    def process_whole(self, model: GameModel, bounds: BoundsVector) -> None:
+        """Deflate and inflate the MEC itself, with no signature and no
+        candidate search, at the current precision and through the
+        staying cache, which a later ``process`` resumes when the MEC is
+        one of its candidates.  Sound whatever the bounds (see the module
+        docstring); once the exits' bounds are final, it settles the MEC
+        when its staying bracket closes and neither player's best exit
+        beats staying."""
+        iteration = self.staying_cache.get(self.mec)
+        ran = 0 if iteration is None else iteration.steps
+        for beneficiary, operate in (
+            (Player.MAXIMIZER, deflate),
+            (Player.MINIMIZER, inflate),
+        ):
+            operate(
+                model, SecCandidate(self.mec, beneficiary), bounds, self.objective,
+                self.precision, self.staying_cache,
+            )
+        iteration = self.staying_cache.get(self.mec)
+        if iteration is not None:
+            self.staying_steps += iteration.steps - ran
 
     def absorb(self, other: "MecTracker") -> None:
         """Carry over cached information from a tracker whose MEC was

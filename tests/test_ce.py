@@ -14,10 +14,12 @@ from conftest import (
     relabelled,
     split_value_mec_model,
 )
+from sgsolve import ecsolve
 from sgsolve.bounds import BoundsVector, state_update
 from sgsolve.ce import solve_ce
 from sgsolve.ecsolve import MecTracker
 from sgsolve.generators import fig1_left, fig1_right, fig2_chain, generate
+from sgsolve.graph import EndComponent
 from sgsolve.model import build_game
 from sgsolve.objectives import LabelMismatch, Objective, ObjectiveKind
 from sgsolve.oracle import SingularSystem, TooLarge, game_value_bruteforce
@@ -490,21 +492,93 @@ def test_end_components_with_final_exits_settle_in_one_round(family, n):
 def test_trackers_start_at_the_tight_staying_precision(monkeypatch):
     # Only deflation lowers the loop's upper bound to its exit value 5;
     # the loop's tracker starts its staying iteration at epsilon/4, not at
-    # (rmax - rmin)/8.
-    firsts: dict[int, float] = {}
-    process = MecTracker.process
+    # (rmax - rmin)/8.  The precision is read at the first staying_bounds
+    # call of each end component, which the whole-MEC step makes.
+    firsts: dict[EndComponent, float] = {}
+    staying_bounds = ecsolve.staying_bounds
 
-    def recording(self, model, bounds):
-        firsts.setdefault(id(self), self.precision)
-        return process(self, model, bounds)
+    def recording(model, candidate, objective, precision, cache=None):
+        firsts.setdefault(candidate.ec, precision)
+        return staying_bounds(model, candidate, objective, precision, cache)
 
-    monkeypatch.setattr(MecTracker, "process", recording)
+    monkeypatch.setattr(ecsolve, "staying_bounds", recording)
     model, _ = fig1_left()
     loose = BoundsVector([4.0, 4.0], [10.0, 10.0])
     epsilon = 1e-6
     result = solve_ce(model, Objective.mean_payoff(model), epsilon, initial_bounds=loose)
     assert list(firsts.values()) == [epsilon / 4]
     assert result.lower - 1e-12 <= 5.0 <= result.upper + 1e-12
+
+
+def counted_calls(monkeypatch) -> list[str]:
+    """List every ``MecTracker.process`` and ``sec_candidates`` call, each
+    still made."""
+    calls = []
+    process = MecTracker.process
+    sec_candidates = ecsolve.sec_candidates
+
+    def counted_process(self, model, bounds):
+        calls.append("process")
+        return process(self, model, bounds)
+
+    def counted_search(*args):
+        calls.append("sec_candidates")
+        return sec_candidates(*args)
+
+    monkeypatch.setattr(MecTracker, "process", counted_process)
+    monkeypatch.setattr(ecsolve, "sec_candidates", counted_search)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "family, n, lower, upper",
+    [
+        ("treemulsec", 11, "0x1.a000000000000p+2", "0x1.a000000000000p+2"),
+        ("treebigmec", 9, "0x1.866665cbf0988p+2", "0x1.866666bee0130p+2"),
+    ],
+)
+def test_uniform_end_components_settle_without_candidate_search(
+    monkeypatch, family, n, lower, upper
+):
+    # Every end component has final exits and a uniform value, so its
+    # first round's whole-MEC step settles it.  The interval is the one
+    # the candidate search gave, bit for bit.
+    calls = counted_calls(monkeypatch)
+    model, _ = generate(family, n=n)
+    result = solve_ce(model, Objective.mean_payoff(model))
+    assert calls == []
+    assert (result.lower.hex(), result.upper.hex()) == (lower, upper)
+    assert result.stats["settled_whole"] == result.stats["end_components"] > 0
+
+
+@pytest.mark.parametrize("order_a, order_b", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_split_value_end_component_falls_back_to_candidate_search(
+    monkeypatch, order_a, order_b
+):
+    # The whole MEC's staying bracket stalls at [0, 10], so the whole-MEC
+    # step settles nothing; the candidate search then splits the values.
+    calls = counted_calls(monkeypatch)
+    model = split_value_mec_model(order_a, order_b)
+    objective = Objective.mean_payoff(model)
+    values = game_value_bruteforce(model, objective)
+    assert values == pytest.approx([10.0, 0.0], abs=1e-12)
+    result = solve_ce(model, objective)
+    assert "process" in calls
+    assert result.stats["end_components"] == 1
+    assert result.stats["settled_whole"] == 0
+    assert result.converged
+    for s in model.states():
+        assert result.bounds.lb[s] - 1e-12 <= values[s] <= result.bounds.ub[s] + 1e-12
+
+
+def test_dicerace_builds_no_tracker():
+    # Its only end components are the absorbing goal and lose states,
+    # which start closed under either objective.
+    model, labels = generate("dicerace", target=6)
+    for objective in (Objective.reachability(labels["goal"]), Objective.mean_payoff(model)):
+        result = solve_ce(model, objective)
+        assert result.converged
+        assert result.stats["end_components"] == result.stats["settled_whole"] == 0
 
 
 def tree_compl_value(n: int) -> float:

@@ -23,7 +23,7 @@ from sgsolve.ecsolve import (
 from sgsolve.generators import fig1_left, fig1_right, generate
 from sgsolve.graph import EndComponent, mec_decompose
 from sgsolve.model import Distribution, build_game
-from sgsolve.objectives import Objective
+from sgsolve.objectives import Objective, ObjectiveKind, prepare
 from sgsolve.oracle import SingularSystem, TooLarge, game_value_bruteforce
 from sgsolve.pe import solve_pe
 
@@ -402,6 +402,37 @@ class TestDeflateInflate:
             for s in model.states():
                 assert bounds.lb[s] <= values[s] + 1e-9
                 assert bounds.ub[s] >= values[s] - 1e-9
+
+
+    def test_whole_mec_keeps_the_value_on_random_games(self, rng):
+        """De-/inflating a whole MEC, with no opponent restriction, keeps
+        the value inside the bounds from any sound start (the value with
+        non-negative slack), at any staying precision."""
+        kinds = set()
+        checked = 0
+        while checked < 60:
+            model = random_game(rng, max_states=6)
+            asked = random_objective(rng, model)
+            query = prepare(model, asked)
+            work, objective = query.model, query.objective
+            try:
+                values = game_value_bruteforce(work, objective)
+            except (TooLarge, SingularSystem):
+                continue
+            checked += 1
+            kinds.add(asked.kind)
+            width = objective.value_ceiling() - objective.value_floor()
+            for mec in mec_decompose(work).mecs:
+                bounds = BoundsVector(
+                    [v - rng.choice([0.0, rng.uniform(0.0, width)]) for v in values],
+                    [v + rng.choice([0.0, rng.uniform(0.0, width)]) for v in values],
+                )
+                precision = rng.choice([1e-9, 1e-3, width / 8.0])
+                deflate(work, SecCandidate(mec, MAX), bounds, objective, precision)
+                inflate(work, SecCandidate(mec, MIN), bounds, objective, precision)
+                for s in work.states():
+                    assert bounds.lb[s] - 1e-9 <= values[s] <= bounds.ub[s] + 1e-9
+        assert kinds == {ObjectiveKind.REACHABILITY, ObjectiveKind.SAFETY, ObjectiveKind.MEAN_PAYOFF}
 
 
 class TestMecTracker:
