@@ -17,32 +17,29 @@ chain) thus wait for the next pass instead of holding it up.  A component
 whose gaps are all at most epsilon is resolved: gaps never widen, so it is
 never visited again and its trackers are dropped.
 
-Three steps settle an end component in one go where that is sound.
+Two things settle an end component in one go where that is sound.
 Under mean payoff every absorbing state is pinned to ``[reward,
 reward]``: the play earns that reward forever, whatever either player
 does, so this is its exact value, and its SCC starts closed, with no MEC
-search and no tracker.  Every tracker starts its staying iteration at
-precision epsilon/4, not at the (rmax - rmin)/8 that ``MecTracker``'s
-halving schedule starts from.  The staying bracket is sound at any
-precision, which only bounds how long the iteration runs, and each call
-runs a bounded number of steps.  The iteration reads only the end
-component's internal actions, never its exits, so the steps it runs while
-a component downstream is still open stay valid.  And in the first round
-of its component, each tracker de-/inflates its whole MEC
-(``MecTracker.process_whole``) before any candidate search.  That is
-sound whatever the bounds: let S* be the states of the MEC where the
-value is largest; if that value were above both the best Maximizer exit
-and the staying bound, every optimal Maximizer action at S* and every
-internal Minimizer action there would stay in S*, and a play kept in S*
-earns at most the staying bound, a contradiction (the ``ecsolve`` module
-docstring spells it out; inflation is the dual).  By the first round
-everything downstream has had its rounds, so the exits are usually
-final.  An end component whose staying bracket closes and where neither
-player's best exit beats staying then settles at once, and its tracker
-never computes a recommender signature or searches for candidates.  One
-that does not settle (values split inside it, an exit still open) is
-processed as before, and the candidate equal to the MEC resumes its
-staying iteration."""
+search and no tracker.  And the first ``MecTracker.process`` call of a
+tracker, made in the first round of its component, de-/inflates its
+whole MEC at the staying precision epsilon/4 before any candidate
+search.  That is sound whatever the bounds: let S* be the states of the
+MEC where the value is largest; if that value were above both the best
+Maximizer exit and the staying bound, every optimal Maximizer action at
+S* and every internal Minimizer action there would stay in S*, and a
+play kept in S* earns at most the staying bound, a contradiction (the
+``ecsolve`` module docstring spells it out; inflation is the dual).  By
+the first round everything downstream has had its rounds, so the exits
+are usually final.  An end component whose staying bracket closes and
+where neither player's best exit beats staying then settles at once, and
+its tracker never computes a recommender signature or searches for
+candidates.  One that does not settle (values split inside it, an exit
+still open) goes on to the candidate search in the same call, and the
+candidate equal to the MEC resumes its staying iteration.  The
+iteration reads only the end component's internal actions, never its
+exits, so the steps it runs while a component downstream is still open
+stay valid."""
 
 from __future__ import annotations
 
@@ -86,14 +83,13 @@ def solve_ce(
     (``working_states``), the number of staying-value steps the trackers
     ran (``staying_steps``), the number of end-component trackers built
     (``end_components``) and how many of those the whole-MEC step of
-    their first round settled (``settled_whole``).
+    their first ``process`` call settled (``settled_whole``).
 
     Under mean payoff, every absorbing state starts at ``[reward,
-    reward]``, its exact value, so it needs no end-component tracker;
-    every tracker starts its staying iteration at precision ``epsilon /
-    4``; and its first round de-/inflates its whole MEC before any
-    candidate search.  The module docstring gives the soundness argument
-    for all three.
+    reward]``, its exact value, so it needs no end-component tracker, and
+    a tracker's first call de-/inflates its whole MEC before any candidate
+    search.  The module docstring gives the soundness argument for
+    both.
 
     ``initial_bounds`` overrides the default initialization (given in the
     original state numbering and the caller's orientation, and required to
@@ -145,20 +141,17 @@ def solve_ce(
         # A MEC lies inside one SCC, so a search per SCC finds them all; an
         # SCC whose bounds all start closed needs no tracker.
         trackers = [
-            [MecTracker(mec, working_objective) for mec in mec_decompose(work, c).mecs]
+            [MecTracker(mec, working_objective, epsilon) for mec in mec_decompose(work, c).mecs]
             if any(lb[s] < ub[s] for s in c) else []
             for c in components
         ]
     # Every tracker, also those dropped once their component is resolved.
     made = [tracker for group in trackers for tracker in group]
-    for tracker in made:
-        tracker.precision = min(tracker.precision, epsilon / 4.0)
 
     start = model.initial
     rounds = [0] * len(components)
     pending = list(range(len(components)))
     iterations = 0
-    settled_whole = 0
     done = False
     while pending and not done:
         unresolved = []
@@ -171,14 +164,8 @@ def solve_ce(
                     if ub[s] - lb[s] > epsilon:
                         state_update(work, bounds, s)
                 for tracker in trackers[i]:
-                    if tracker.settled(bounds, epsilon):
-                        continue
-                    if rounds[i] == 1:
-                        tracker.process_whole(work, bounds)
-                        if tracker.settled(bounds, epsilon):
-                            settled_whole += 1
-                            continue
-                    tracker.process(work, bounds)
+                    if not tracker.settled(bounds):
+                        tracker.process(work, bounds)
                 last, widest = widest, max(ub[s] - lb[s] for s in states)
                 if widest <= epsilon or (len(states) == 1 and not trackers[i]):
                     break
@@ -213,6 +200,6 @@ def solve_ce(
             "working_states": work.num_states,
             "staying_steps": sum(tracker.staying_steps for tracker in made),
             "end_components": len(made),
-            "settled_whole": settled_whole,
+            "settled_whole": sum(tracker.settled_whole for tracker in made),
         },
     ))

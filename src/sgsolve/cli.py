@@ -30,8 +30,11 @@ def _parse_params(pairs: list[str]) -> dict[str, int]:
         if "=" not in pair:
             raise ValueError(f"expected name=value, got {pair!r}")
         name, value = pair.split("=", 1)
+        name = name.strip()
+        if name in params:
+            raise ValueError(f"parameter {name!r} is given more than once")
         try:
-            params[name.strip()] = int(value)
+            params[name] = int(value)
         except ValueError:
             raise ValueError(f"parameter {name!r} must be an integer, got {value!r}")
     return params

@@ -25,7 +25,8 @@ actions of T and Maximizer has fewer.  So Maximizer's optimal strategy
 earns less than v* against some Minimizer strategy, a contradiction;
 inflate is the dual.  Restricting the opponent to its optimal actions
 only makes the candidates tighter, so that the bounds close sooner;
-``MecTracker.process_whole`` de-/inflates the MEC itself.
+the first ``MecTracker.process`` call de-/inflates the MEC itself before
+any search.
 
 The staying value of a mean-payoff candidate is bracketed by value
 iteration on the game restricted to its internal actions: the least and
@@ -482,26 +483,27 @@ def inflate(
 
 
 class MecTracker:
-    """Per-game-MEC bookkeeping: recommender signatures, cached candidate
-    sets, cached staying-value iterations and the refinement precision.
+    """Per-game-MEC bookkeeping of one solve to precision ``epsilon``:
+    recommender signatures, cached candidate sets and cached staying-value
+    iterations.
 
-    Processing re-derives the candidate sets only when the recommender
-    signature (the optimal actions inside the MEC) has changed.  Those
-    candidates restrict the opponent to its optimal actions, which makes
-    them tighter and so serves convergence; soundness does not depend on
-    it, and ``process_whole`` de-/inflates the MEC itself with no search
-    at all.  The staying precision starts at (rmax - rmin)/8 (for
-    reachability 1/8); it is a plain attribute, which a caller may lower.
-    When a tracker is re-processed and its candidates are unchanged, the staying
-    precision is halved so the bracket keeps tightening.  The staying
-    cache holds one iteration per end component (keyed by the
+    The first ``process`` call de-/inflates the MEC itself; when that
+    settles it (``settled_whole``), the tracker never computes a
+    recommender signature or searches for candidates.  Otherwise the
+    candidates are re-derived only when the recommender signature (the
+    optimal actions inside the MEC) has changed.  They restrict the
+    opponent to its optimal actions, which makes them tighter and so
+    serves convergence; soundness does not depend on it.  Every staying
+    iteration runs to ``precision``, epsilon/4, for the tracker's whole
+    life: the bracket is sound at any precision, which only bounds how
+    long a call iterates, and each call runs a bounded number of steps.
+    The staying cache holds one iteration per end component (keyed by the
     ``EndComponent`` itself), compiled once and shared by the deflated
     Maximizer candidate and the inflated Minimizer candidate over it.
 
     ``staying_steps`` counts the staying-value steps that its ``process``
-    and ``process_whole`` calls ran, in cached iterations it absorbed too
-    (the steps those ran before are counted by the tracker they came
-    from).
+    calls ran, in cached iterations it absorbed too (the steps those ran
+    before are counted by the tracker they came from).
 
     A ``process`` call that changes no bound and splits no candidate is
     quiet.  After one, the tracker keeps the bounds that processing reads
@@ -509,14 +511,16 @@ class MecTracker:
     next call that is not skipped.
     """
 
-    def __init__(self, mec: EndComponent, objective: Objective):
+    def __init__(self, mec: EndComponent, objective: Objective, epsilon: float):
         self.mec = mec
         self.objective = objective
-        width = objective.value_ceiling() - objective.value_floor()
-        self.precision = max(width / 8.0, 1e-15)
+        self.epsilon = epsilon
+        self.precision = epsilon / 4.0
         self.staying_cache: dict = {}
         self.staying_steps = 0
         self.candidates: Optional[dict[Player, list[SecCandidate]]] = None
+        self.settled_whole = False
+        self._settled = False
         self._signature: Optional[tuple] = None
         self._reads: Optional[list[int]] = None
         # After a quiet call: the lb and ub of ``_reads`` and the widest
@@ -543,7 +547,6 @@ class MecTracker:
     def refresh_candidates(self, model: GameModel, bounds: BoundsVector) -> None:
         signature = self._recommender_signature(model, bounds)
         if self.candidates is not None and signature == self._signature:
-            self.precision = max(self.precision / 2.0, 1e-15)
             return
         optimal_lb = {s: on_lb for s, on_lb, _ in signature}
         optimal_ub = {s: on_ub for s, _, on_ub in signature}
@@ -577,9 +580,7 @@ class MecTracker:
         if self.candidates is not None:
             old = {c for cands in self.candidates.values() for c in cands}
             current = {c for cands in new.values() for c in cands}
-            if old == current:
-                self.precision = max(self.precision / 2.0, 1e-15)
-            else:
+            if old != current:
                 ecs = {c.ec for c in current}
                 self.staying_cache = {
                     ec: v for ec, v in self.staying_cache.items() if ec in ecs
@@ -587,24 +588,29 @@ class MecTracker:
         self.candidates = new
         self._signature = signature
 
-    def settled(self, bounds: BoundsVector, epsilon: float) -> bool:
+    def settled(self, bounds: BoundsVector) -> bool:
         """Whether every state of the MEC has a gap of at most ``epsilon``.
         Both solvers skip a settled tracker: its states are resolved to the
-        precision asked for, and gaps never widen."""
-        return all(bounds.ub[s] - bounds.lb[s] <= epsilon for s in self.mec.states)
+        precision asked for.  Gaps never widen, so a True answer is
+        remembered and the bounds are not read again."""
+        if not self._settled:
+            self._settled = all(
+                bounds.ub[s] - bounds.lb[s] <= self.epsilon for s in self.mec.states
+            )
+        return self._settled
 
     def _nothing_to_do(self, bounds: BoundsVector) -> bool:
         """Whether processing now would change nothing: the last call was
         quiet, no bound it read has moved since, and every cached staying
-        bracket of the candidates is within the precision this call would
-        use.  Then the recommender signature is unchanged, no staying step
-        and no split runs, and every de-/inflation sees the bounds and the
-        bracket it saw in the quiet call, so it changes nothing again and
-        picks the same exits."""
+        bracket of the candidates is within the precision.  Then the
+        recommender signature is unchanged, no staying step and no split
+        runs, and every de-/inflation sees the bounds and the bracket it
+        saw in the quiet call, so it changes nothing again and picks the
+        same exits."""
         if self._quiet is None:
             return False
         lb_seen, ub_seen, width = self._quiet
-        if width > max(self.precision / 2.0, 1e-15):
+        if width > self.precision:
             return False
         reads = self._reads
         return (
@@ -632,48 +638,74 @@ class MecTracker:
             max(widths, default=-math.inf),
         )
 
-    def process(self, model: GameModel, bounds: BoundsVector) -> Optional[list[Exit]]:
-        """Refresh candidates if needed, then de-/inflate all of them.
-        Returns, for the simulation jump memory, the first best exit of
-        every candidate that has one, in the order they were processed.
+    def _operate(
+        self, model: GameModel, candidate: SecCandidate, bounds: BoundsVector
+    ) -> tuple[bool, list[tuple[int, int]], Optional[_StayingIteration]]:
+        """Deflate a Maximizer candidate or inflate a Minimizer one at the
+        staying precision, counting the staying steps it runs.  Returns
+        whether a bound changed, the best exits and the candidate's staying
+        iteration (None for reachability)."""
+        operate = deflate if candidate.beneficiary is Player.MAXIMIZER else inflate
+        iteration = self.staying_cache.get(candidate.ec)
+        ran = 0 if iteration is None else iteration.steps
+        changed, exits = operate(
+            model, candidate, bounds, self.objective, self.precision, self.staying_cache
+        )
+        iteration = self.staying_cache.get(candidate.ec)
+        if iteration is not None:
+            self.staying_steps += iteration.steps - ran
+        return changed, exits, iteration
 
-        A call for which ``_nothing_to_do`` holds is skipped: it only halves
-        the precision, as ``refresh_candidates`` would, and returns None
-        instead of repeating the exits of the quiet call before it.  The
-        bounds are read only after a quiet call, so a caller whose calls
-        nearly always change a bound pays for the skip with a flag per
-        call."""
+    def process(self, model: GameModel, bounds: BoundsVector) -> Optional[list[Exit]]:
+        """De-/inflate the MEC's candidates.  Returns, for the simulation
+        jump memory, the first best exit of every candidate that has one,
+        in the order they were processed.
+
+        The first call de-/inflates the whole MEC before anything else,
+        which is sound whatever the bounds (see the module docstring).
+        When the exits' bounds are final, that settles the MEC if its
+        staying bracket closes and neither player's best exit beats
+        staying; the call then returns the MEC's own exits and stops.
+        Otherwise it drops them and goes on as every later call does: it
+        refreshes the candidates if needed and de-/inflates them, splitting
+        those whose staying bracket stalled, and a candidate equal to the
+        MEC resumes the whole step's staying iteration.
+
+        A call for which ``_nothing_to_do`` holds is skipped and returns
+        None instead of repeating the exits of the quiet call before it.
+        The bounds are read only after a quiet call, so a caller whose
+        calls nearly always change a bound pays for the skip with a flag
+        per call."""
         if self._nothing_to_do(bounds):
-            self.precision = max(self.precision / 2.0, 1e-15)
             return None
         self._quiet = None
-        self.refresh_candidates(model, bounds)
-        assert self.candidates is not None
         used: list[Exit] = []
         quiet = True
-        for beneficiary, operate in (
-            (Player.MAXIMIZER, deflate),
-            (Player.MINIMIZER, inflate),
-        ):
+        if self.candidates is None:  # the first call: the whole-MEC step
+            for beneficiary in (Player.MAXIMIZER, Player.MINIMIZER):
+                changed, exits, _ = self._operate(
+                    model, SecCandidate(self.mec, beneficiary), bounds
+                )
+                quiet = quiet and not changed
+                if exits:
+                    used.append((self.mec.states, exits[0]))
+            if self.settled(bounds):
+                self.settled_whole = True
+                return used
+            used = []
+        self.refresh_candidates(model, bounds)
+        assert self.candidates is not None
+        for beneficiary in (Player.MAXIMIZER, Player.MINIMIZER):
             worklist = list(self.candidates[beneficiary])
             seen = set(worklist)
             while worklist:
                 candidate = worklist.pop()
-                iteration = self.staying_cache.get(candidate.ec)
-                ran = 0 if iteration is None else iteration.steps
-                changed, exits = operate(
-                    model, candidate, bounds, self.objective, self.precision,
-                    self.staying_cache,
-                )
+                changed, exits, iteration = self._operate(model, candidate, bounds)
                 if changed:
                     quiet = False
                 if exits:
                     used.append((candidate.ec.states, exits[0]))
-                iteration = self.staying_cache.get(candidate.ec)
-                if iteration is None:
-                    continue
-                self.staying_steps += iteration.steps - ran
-                if iteration.hi - iteration.lo > self.precision:
+                if iteration is not None and iteration.hi - iteration.lo > self.precision:
                     # Later steps in this call may narrow the bracket split
                     # on; the next call would then split nothing.
                     quiet = False
@@ -685,31 +717,8 @@ class MecTracker:
             self._remember_quiet(model, bounds)
         return used
 
-    def process_whole(self, model: GameModel, bounds: BoundsVector) -> None:
-        """Deflate and inflate the MEC itself, with no signature and no
-        candidate search, at the current precision and through the
-        staying cache, which a later ``process`` resumes when the MEC is
-        one of its candidates.  Sound whatever the bounds (see the module
-        docstring); once the exits' bounds are final, it settles the MEC
-        when its staying bracket closes and neither player's best exit
-        beats staying."""
-        iteration = self.staying_cache.get(self.mec)
-        ran = 0 if iteration is None else iteration.steps
-        for beneficiary, operate in (
-            (Player.MAXIMIZER, deflate),
-            (Player.MINIMIZER, inflate),
-        ):
-            operate(
-                model, SecCandidate(self.mec, beneficiary), bounds, self.objective,
-                self.precision, self.staying_cache,
-            )
-        iteration = self.staying_cache.get(self.mec)
-        if iteration is not None:
-            self.staying_steps += iteration.steps - ran
-
     def absorb(self, other: "MecTracker") -> None:
         """Carry over cached information from a tracker whose MEC was
         subsumed by this one (partial-exploration growth)."""
         self.staying_cache.update(other.staying_cache)
-        self.precision = min(self.precision, other.precision)
         self._quiet = None

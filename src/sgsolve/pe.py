@@ -13,7 +13,8 @@ The end components are maintained incrementally: a component refresh
 decomposes again only the explored SCCs that hold a state expanded since
 the last refresh, and keeps the trackers of every other MEC, whose
 ``process`` is then skipped for as long as nothing it reads has moved
-(see ``MecTracker``); a tracker found settled is not checked again.
+(see ``MecTracker``); a settled tracker remembers it and is not
+processed again.
 
 Each refresh ends with two Gauss-Seidel sweeps over the explored region
 that are driven by changes: a predecessor index, grown as states are
@@ -71,8 +72,6 @@ class PartialState:
         # sweep left on the explored states (the a-priori ones elsewhere).
         self.dirty: set[int] = set()
         self.recorded = self.bounds.copy()
-        # Trackers found settled; gaps never widen, so they stay settled.
-        self.settled: set[MecTracker] = set()
         self.sweep_updates = 0
         # The staying-value steps of the trackers dropped so far.
         self.dropped_staying_steps = 0
@@ -223,8 +222,8 @@ def _refresh_components(
     result equals ``mec_decompose(model, restrict_to=part.explored)``,
     in its order.
 
-    A tracker found settled is remembered in ``part.settled`` and not
-    checked again (gaps never widen); it stays in the returned list.  A
+    A settled tracker (``MecTracker.settled``, which remembers a True
+    answer) is not processed; it stays in the returned list.  A
     processed component's states get their memory anew: the exits its
     ``process`` call returned, for the candidates holding each state, in
     the order returned.  A skipped component's memory holds the exits of
@@ -255,20 +254,16 @@ def _refresh_components(
         for mec in mec_decompose(model, restrict_to=region).mecs:
             tracker = old_by_mec.pop(mec, None)
             if tracker is None:
-                tracker = MecTracker(mec, objective)
+                tracker = MecTracker(mec, objective, epsilon)
                 for s in mec.states:
                     old = old_by_state.get(s)
                     if old is not None:
                         tracker.absorb(old)
             fresh.append(tracker)
         fresh.sort(key=lambda tracker: min(tracker.mec.states))
-        part.settled.difference_update(old_by_mec.values())
         part.dropped_staying_steps += sum(t.staying_steps for t in old_by_mec.values())
     for tracker in fresh:
-        if tracker in part.settled:
-            continue
-        if tracker.settled(part.bounds, epsilon):
-            part.settled.add(tracker)
+        if tracker.settled(part.bounds):
             continue
         exits = tracker.process(model, part.bounds)
         if exits is None:

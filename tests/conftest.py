@@ -118,6 +118,18 @@ def random_objective(rng: random.Random, model: GameModel) -> Objective:
     return Objective.safety(states)
 
 
+def stream_game(index: int) -> tuple[GameModel, Objective]:
+    """Game ``index`` (counted from 0) of the random-game stream that the
+    notes in ROADMAP.md and CHANGES.md cite: ``random.Random(11)`` draws
+    ``random_game(rng, max_states=rng.choice([8, 30, 80, 200]))``, then
+    ``random_objective``, once per game."""
+    rng = random.Random(11)
+    for _ in range(index + 1):
+        model = random_game(rng, max_states=rng.choice([8, 30, 80, 200]))
+        objective = random_objective(rng, model)
+    return model, objective
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)

@@ -482,7 +482,7 @@ def test_absorbing_states_start_pinned_under_mean_payoff(monkeypatch, open_start
     [("treebigmec", 5), ("treemulcomplmec", 6), ("treemulcomplsec", 6)],
 )
 def test_end_components_with_final_exits_settle_in_one_round(family, n):
-    # With the default staying schedule these take 21 rounds.
+    # A staying precision halved from (rmax - rmin)/8 per call took 21 rounds.
     model, _ = generate(family, n=n)
     result = solve_ce(model, Objective.mean_payoff(model))
     assert result.converged
@@ -493,12 +493,16 @@ def test_trackers_start_at_the_tight_staying_precision(monkeypatch):
     # Only deflation lowers the loop's upper bound to its exit value 5;
     # the loop's tracker starts its staying iteration at epsilon/4, not at
     # (rmax - rmin)/8.  The precision is read at the first staying_bounds
-    # call of each end component, which the whole-MEC step makes.
+    # call of each end component, which the whole-MEC step makes.  Every
+    # later call, in CE and in PE, runs at epsilon/4 too: the precision is
+    # fixed for the tracker's whole life.
     firsts: dict[EndComponent, float] = {}
+    precisions: list[float] = []
     staying_bounds = ecsolve.staying_bounds
 
     def recording(model, candidate, objective, precision, cache=None):
         firsts.setdefault(candidate.ec, precision)
+        precisions.append(precision)
         return staying_bounds(model, candidate, objective, precision, cache)
 
     monkeypatch.setattr(ecsolve, "staying_bounds", recording)
@@ -508,24 +512,30 @@ def test_trackers_start_at_the_tight_staying_precision(monkeypatch):
     result = solve_ce(model, Objective.mean_payoff(model), epsilon, initial_bounds=loose)
     assert list(firsts.values()) == [epsilon / 4]
     assert result.lower - 1e-12 <= 5.0 <= result.upper + 1e-12
+    games = [split_value_mec_model(), generate("treebigmec", n=4)[0]]
+    for model in games:
+        for solve in (solve_ce, solve_pe):
+            solve(model, Objective.mean_payoff(model), epsilon)
+    assert len(precisions) > 100
+    assert set(precisions) == {epsilon / 4}
 
 
 def counted_calls(monkeypatch) -> list[str]:
-    """List every ``MecTracker.process`` and ``sec_candidates`` call, each
-    still made."""
+    """List every ``MecTracker.refresh_candidates`` and ``sec_candidates``
+    call, each still made."""
     calls = []
-    process = MecTracker.process
+    refresh = MecTracker.refresh_candidates
     sec_candidates = ecsolve.sec_candidates
 
-    def counted_process(self, model, bounds):
-        calls.append("process")
-        return process(self, model, bounds)
+    def counted_refresh(self, model, bounds):
+        calls.append("refresh_candidates")
+        return refresh(self, model, bounds)
 
     def counted_search(*args):
         calls.append("sec_candidates")
         return sec_candidates(*args)
 
-    monkeypatch.setattr(MecTracker, "process", counted_process)
+    monkeypatch.setattr(MecTracker, "refresh_candidates", counted_refresh)
     monkeypatch.setattr(ecsolve, "sec_candidates", counted_search)
     return calls
 
@@ -540,8 +550,8 @@ def counted_calls(monkeypatch) -> list[str]:
 def test_uniform_end_components_settle_without_candidate_search(
     monkeypatch, family, n, lower, upper
 ):
-    # Every end component has final exits and a uniform value, so its
-    # first round's whole-MEC step settles it.  The interval is the one
+    # Every end component has final exits and a uniform value, so the
+    # whole-MEC step of its first process call settles it.  The interval is the one
     # the candidate search gave, bit for bit.
     calls = counted_calls(monkeypatch)
     model, _ = generate(family, n=n)
@@ -563,7 +573,7 @@ def test_split_value_end_component_falls_back_to_candidate_search(
     values = game_value_bruteforce(model, objective)
     assert values == pytest.approx([10.0, 0.0], abs=1e-12)
     result = solve_ce(model, objective)
-    assert "process" in calls
+    assert "refresh_candidates" in calls
     assert result.stats["end_components"] == 1
     assert result.stats["settled_whole"] == 0
     assert result.converged

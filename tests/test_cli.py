@@ -127,6 +127,13 @@ def test_bad_generator_parameter(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_repeated_generator_parameter(capsys):
+    code = run(["--generate", "treemulsec", "--param", "n=3", "--param", "n=4",
+                "--objective", "mean-payoff"])
+    assert code == 1
+    assert "parameter 'n' is given more than once" in capsys.readouterr().err
+
+
 def test_unknown_label(capsys):
     code = run(["--generate", "fig1left", "--objective", "reach",
                 "--goal", "nosuchlabel"])

@@ -396,7 +396,7 @@ class TestDeflateInflate:
                 [objective.rmax] * model.num_states,
             )
             for mec in mec_decompose(model).mecs:
-                tracker = MecTracker(mec, objective)
+                tracker = MecTracker(mec, objective, 1e-6)
                 for _ in range(5):
                     tracker.process(model, bounds)
             for s in model.states():
@@ -436,24 +436,11 @@ class TestDeflateInflate:
 
 
 class TestMecTracker:
-    def test_precision_halves_when_stable(self):
-        model = build_game(
-            [MAX, MAX], [(dirac(1),), (dirac(0),)], [2.0, 4.0], 0
-        )
-        (mec,) = mec_decompose(model).mecs
-        objective = Objective.mean_payoff(model)
-        tracker = MecTracker(mec, objective)
-        bounds = BoundsVector([2.0, 2.0], [4.0, 4.0])
-        tracker.process(model, bounds)
-        first = tracker.precision
-        tracker.process(model, bounds)
-        assert tracker.precision <= first / 2.0
-
     def test_process_converges_split_value_mec(self):
         model = split_value_mec_model()
         (mec,) = mec_decompose(model).mecs
         objective = Objective.mean_payoff(model)
-        tracker = MecTracker(mec, objective)
+        tracker = MecTracker(mec, objective, 1e-6)
         bounds = BoundsVector([0.0, 0.0], [10.0, 10.0])
         for _ in range(60):
             tracker.process(model, bounds)
@@ -466,22 +453,26 @@ class TestMecTracker:
         model = split_value_mec_model()
         (mec,) = mec_decompose(model).mecs
         objective = Objective.mean_payoff(model)
-        tracker = MecTracker(mec, objective)
+        tracker = MecTracker(mec, objective, 1e-6)
         assert tracker.candidates is None
         bounds = BoundsVector([0.0, 0.0], [10.0, 10.0])
         tracker.process(model, bounds)
         assert any(tracker.candidates.values())
-        other = MecTracker(mec, objective)
-        other.precision = 1e-12
-        tracker.absorb(other)
-        assert tracker.precision == 1e-12
+        grown = MecTracker(mec, objective, 1e-6)
+        grown.absorb(tracker)
+        assert grown.staying_cache[mec] is tracker.staying_cache[mec]
 
     def test_settled(self):
         model = split_value_mec_model()
         (mec,) = mec_decompose(model).mecs
-        tracker = MecTracker(mec, Objective.mean_payoff(model))
-        assert tracker.settled(BoundsVector([10.0, 0.0], [10.0, 1e-6]), 1e-6)
-        assert not tracker.settled(BoundsVector([10.0, 0.0], [10.0, 2e-6]), 1e-6)
+        objective = Objective.mean_payoff(model)
+        tracker = MecTracker(mec, objective, 1e-6)
+        assert tracker.settled(BoundsVector([10.0, 0.0], [10.0, 1e-6]))
+        tracker = MecTracker(mec, objective, 1e-6)
+        assert not tracker.settled(BoundsVector([10.0, 0.0], [10.0, 2e-6]))
+        # Gaps never widen, so a True answer is remembered.
+        assert tracker.settled(BoundsVector([10.0, 0.0], [10.0, 1e-6]))
+        assert tracker.settled(BoundsVector([0.0, 0.0], [10.0, 10.0]))
 
 
 def opponent_restrictions(model, signature, beneficiary):
@@ -519,7 +510,7 @@ class TestRefreshCandidates:
         bounds = BoundsVector(
             [objective.value_floor()] * n, [objective.value_ceiling()] * n
         )
-        trackers = [MecTracker(mec, objective) for mec in mec_decompose(model).mecs]
+        trackers = [MecTracker(mec, objective, 1e-6) for mec in mec_decompose(model).mecs]
         made = all_four = 0
         for _ in range(rounds):
             for s in model.states():
@@ -621,15 +612,17 @@ class TestProcessSkip:
     def test_skipped_call_returns_no_exits(self):
         # The exits of the quiet call before a skip are the caller's
         # already; a skip hands back None instead of repeating them.
+        # The loop's bounds are open, so the whole-MEC step does not settle
+        # it, and no de-/inflation moves them.
         model, _ = fig1_left()
         loop = mec_decompose(model).mecs[1]
-        tracker = MecTracker(loop, Objective.mean_payoff(model))
-        bounds = BoundsVector([5.0, 5.0], [5.0, 5.0])
+        tracker = MecTracker(loop, Objective.mean_payoff(model), 1e-6)
+        bounds = BoundsVector([5.0, 4.5], [5.0, 5.0])
         ((states, exit),) = tracker.process(model, bounds)
         assert states == loop.states
         assert exit == (1, 1)
         assert tracker.process(model, bounds) is None
-        assert bounds == BoundsVector([5.0, 5.0], [5.0, 5.0])
+        assert bounds == BoundsVector([5.0, 4.5], [5.0, 5.0])
 
     def test_a_call_that_splits_licenses_no_skip(self, monkeypatch):
         """The bracket a candidate was split on can narrow later in the
@@ -648,8 +641,11 @@ class TestProcessSkip:
         def two_calls():
             model = split_value_mec_model()
             (mec,) = mec_decompose(model).mecs
-            tracker = MecTracker(mec, Objective.mean_payoff(model))
+            tracker = MecTracker(mec, Objective.mean_payoff(model), 1e-6)
             bounds = BoundsVector([5.0, 5.0], [5.0, 5.0])
+            # With candidates already searched, ``process`` skips the
+            # whole-MEC step, which would settle these closed bounds.
+            tracker.refresh_candidates(model, bounds)
             calls = [tracker.process(model, bounds) for _ in range(2)]
             assert bounds == BoundsVector([5.0, 5.0], [5.0, 5.0])
             return calls

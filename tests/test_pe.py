@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import random_game, random_objective, relabelled
+from conftest import random_game, random_objective, relabelled, stream_game
 from sgsolve import pe
 from sgsolve.bounds import state_update
 from sgsolve.ce import solve_ce
@@ -230,6 +230,19 @@ def test_settled_components_are_not_processed(monkeypatch, family, params, refer
     if reference is None:
         reference = game_value_bruteforce(model, objective, model.initial)
     assert result.lower - 1e-12 <= reference <= result.upper + 1e-12
+
+
+def test_stream_game_46_takes_few_staying_steps():
+    # Mean payoff, 19 states, MECs of 14 and 1 states.  A staying precision
+    # halved on every quiet call ran it for over 200,000 staying steps in
+    # each solver; at epsilon/4 throughout, both need a few hundred.
+    model, objective = stream_game(46)
+    ce = solve_ce(model, objective)
+    partial = solve_pe(model, objective, seed=46)
+    for result in (ce, partial):
+        assert result.converged
+        assert result.stats["staying_steps"] <= 5_000
+    assert ce.lower <= partial.upper and partial.lower <= ce.upper
 
 
 @pytest.mark.parametrize("rmin, rmax", [(0.0, 1.0), (float("nan"), 10.0)])
@@ -462,17 +475,26 @@ class TestChangeDrivenSweeps:
         assert 0 < 10 * result.stats["sweep_updates"] < reference.stats["sweep_updates"]
 
     def test_settled_trackers_are_not_checked_again(self, monkeypatch, rng):
-        real = MecTracker.settled
+        # A tracker found settled remembers it: asked again, it answers
+        # without reading the bounds, and it is not processed again.
+        real_settled, real_process = MecTracker.settled, MecTracker.process
         settled = set()
 
-        def check(tracker, bounds, epsilon):
-            assert tracker not in settled
-            if real(tracker, bounds, epsilon):
+        def check(tracker, bounds):
+            if tracker in settled:
+                assert real_settled(tracker, None)
+                return True
+            if real_settled(tracker, bounds):
                 settled.add(tracker)
                 return True
             return False
 
+        def process(tracker, model, bounds):
+            assert tracker not in settled
+            return real_process(tracker, model, bounds)
+
         monkeypatch.setattr(MecTracker, "settled", check)
+        monkeypatch.setattr(MecTracker, "process", process)
         for model, objective, seed, budget in sweep_instances(rng):
             solve_pe(model, objective, seed=seed, max_paths=budget)
         assert settled
