@@ -9,6 +9,17 @@ complete solver, and the exit used in a deflation is remembered per
 state, so that later simulations jump out of regions whose bounds already
 account for their best exit instead of looping inside them.
 
+Three rules keep simulations from walking paths that cannot move a bound.
+An absorbing state is pinned to its exact value when it is expanded (its
+reward under mean payoff; 1 for a goal and 0 otherwise under
+reachability), so paths stop there at once.  A jump through an exit lands
+only on successors whose memory does not hold that exit, if it has any, so
+it leaves the region instead of landing back in it.  A path that expands
+no state is followed by a component refresh, like a looping one.  Only the
+first rule sets a bound, and to the state's value; the other two choose
+paths and refresh times, so every bound still moves only by a guarded
+update or a de-/inflation, and stays sound.
+
 The end components are maintained incrementally: a component refresh
 decomposes again only the explored SCCs that hold a state expanded since
 the last refresh, and keeps the trackers of every other MEC, whose
@@ -36,7 +47,7 @@ from .bounds import (
 from .ecsolve import MecTracker
 from .graph import EndComponent, mec_decompose
 from .model import Distribution, GameModel, Player
-from .objectives import Objective, ObjectiveKind, prepare
+from .objectives import Objective, prepare
 from .result import SolveResult
 
 DEFAULT_MAX_PATHS = 10_000_000
@@ -85,13 +96,13 @@ class PartialState:
         for dist in self.model.actions[state]:
             for t, _ in dist.support:
                 self.preds.setdefault(t, set()).add(state)
-        if self.objective.kind is ObjectiveKind.REACHABILITY:
-            if state in self.objective.goal:
-                self.bounds.lb[state] = 1.0
-                self.bounds.ub[state] = 1.0
-            elif state in self.objective.avoid:
-                self.bounds.lb[state] = 0.0
-                self.bounds.ub[state] = 0.0
+        if self.model.is_absorbing(state):
+            # A one-state end component, whose value is known.
+            if self.objective.is_mean_payoff:
+                value = self.model.rewards[state]
+            else:
+                value = 1.0 if state in self.objective.goal else 0.0
+            self.bounds.lb[state] = self.bounds.ub[state] = value
 
 
 def _guidance_action(model: GameModel, state: int, bounds: BoundsVector) -> int:
@@ -102,20 +113,28 @@ def _guidance_action(model: GameModel, state: int, bounds: BoundsVector) -> int:
 
 
 def _sample_successor(
-    dist: Distribution, part: PartialState, rng: random.Random
+    dist: Distribution, part: PartialState, rng: random.Random, memory: Memory,
+    exit: Optional[tuple[int, int]],
 ) -> int:
-    weights = [p * part.bounds.gap(t) for t, p in dist.support]
+    """A successor drawn with weight probability times bound gap, or by
+    probability alone if every gap is closed.  After a jump through the
+    recorded ``exit``, only successors whose memory does not hold it are
+    drawn, if there are any: the others lie in the region it leaves."""
+    support = dist.support
+    if exit is not None:
+        support = [(t, p) for t, p in support if exit not in memory.get(t, ())] or support
+    weights = [p * part.bounds.gap(t) for t, p in support]
     total = sum(weights)
     if total <= 0.0:
-        weights = [p for _, p in dist.support]
+        weights = [p for _, p in support]
         total = sum(weights)
     pick = rng.random() * total
     acc = 0.0
-    for (t, _), w in zip(dist.support, weights):
+    for (t, _), w in zip(support, weights):
         acc += w
         if pick <= acc:
             return t
-    return dist.support[-1][0]
+    return support[-1][0]
 
 
 def sample_path(
@@ -129,7 +148,8 @@ def sample_path(
 
     Returns the visited (state, action) pairs and whether the path was cut
     off by the revisit budget (a sign of looping inside an unresolved end
-    component)."""
+    component).  A path stops at a state whose gap is below
+    ``2 * epsilon``, an expanded absorbing state among them."""
     path: list[tuple[int, int]] = []
     visits: dict[int, int] = {}
     looped = False
@@ -137,8 +157,6 @@ def sample_path(
     while True:
         part.expand(state)
         visits[state] = visits.get(state, 0) + 1
-        if model.is_absorbing(state):
-            break
         if part.bounds.gap(state) < 2.0 * epsilon:
             break
         if visits[state] > REVISIT_BUDGET:
@@ -155,16 +173,16 @@ def sample_path(
                 s, a = exit
                 return sum(p * part.bounds.gap(t) for t, p in model.distribution(s, a).support)
 
-            from_state, action = max(entries, key=_exit_weight)
-            dist = model.distribution(from_state, action)
+            exit = max(entries, key=_exit_weight)
+            from_state, action = exit
             if from_state != state:
                 path.append((state, _guidance_action(model, state, part.bounds)))
-            path.append((from_state, action))
         else:
-            action = _guidance_action(model, state, part.bounds)
-            dist = model.distribution(state, action)
-            path.append((state, action))
-        state = _sample_successor(dist, part, rng)
+            exit = None
+            from_state, action = state, _guidance_action(model, state, part.bounds)
+        path.append((from_state, action))
+        dist = model.distribution(from_state, action)
+        state = _sample_successor(dist, part, rng, memory, exit)
     return path, looped
 
 
@@ -329,6 +347,10 @@ def solve_pe(
     """Simulation-guided solving to an epsilon-precise value at the
     initial state.  Deterministic for a fixed seed.
 
+    A component refresh follows every path that looped or expanded no
+    state, and every ``COMPONENT_SEARCH_PERIOD``-th path: the backprop of a
+    path that expands nothing only repeats updates the sweeps make anyway.
+
     ``use_deflate_memory`` disables the jump-to-recorded-exit fix; without
     it, simulations can keep looping inside an end component whose bounds
     are already fully deflated and the path budget runs out.  A
@@ -357,9 +379,12 @@ def solve_pe(
     done = False
     while paths < max_paths and not done:
         paths += 1
+        explored = len(part.explored)
         path, looped = sample_path(work, part, memory, rng, epsilon)
         _backpropagate(work, part, path)
-        if looped or paths % COMPONENT_SEARCH_PERIOD == 0:
+        # An empty path stops at a settled initial state, ending the solve.
+        idle = path and len(part.explored) == explored
+        if looped or idle or paths % COMPONENT_SEARCH_PERIOD == 0:
             refreshes += 1
             trackers = _refresh_components(
                 work, part, query.objective, trackers, memory, use_deflate_memory,

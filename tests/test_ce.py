@@ -13,6 +13,7 @@ from conftest import (
     reflecting_walk,
     relabelled,
     split_value_mec_model,
+    tree_compl_value,
 )
 from sgsolve import ecsolve
 from sgsolve.bounds import BoundsVector, state_update
@@ -589,27 +590,6 @@ def test_dicerace_builds_no_tracker():
         result = solve_ce(model, objective)
         assert result.converged
         assert result.stats["end_components"] == result.stats["settled_whole"] == 0
-
-
-def tree_compl_value(n: int) -> float:
-    """The value of ``treemulcomplmec`` and ``treemulcomplsec`` of size n,
-    from their structure.  The hub of leaf j (rewards r0 = 3j mod 11,
-    r1 = 3j + 5 mod 11) picks the two-cycle through r1 or the three-cycle
-    through r2 = 7j + 2 and r3 = 7j + 6 (mod 11); the sec leaf's exit is
-    worth more than any reward, so its Minimizer stays too, and a leaf is
-    worth its better cycle average.  The binary tree above alternates
-    max and min layers, max at the root."""
-    layer = []
-    for j in range(2**n):
-        r0, r1 = (3 * j) % 11, (3 * j + 5) % 11
-        r2, r3 = (7 * j + 2) % 11, (7 * j + 6) % 11
-        layer.append(max((r0 + r1) / 2, (r0 + r2 + r3) / 3))
-    level = n - 1
-    while len(layer) > 1:
-        pick = max if level % 2 == 0 else min
-        layer = [pick(a, b) for a, b in zip(layer[::2], layer[1::2])]
-        level -= 1
-    return layer[0]
 
 
 @pytest.mark.parametrize("family", ["treemulcomplmec", "treemulcomplsec"])

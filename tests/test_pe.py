@@ -2,14 +2,24 @@
 
 import pytest
 
-from conftest import random_game, random_objective, relabelled, stream_game
+from conftest import (
+    MAX,
+    MIN,
+    dirac,
+    random_game,
+    random_objective,
+    relabelled,
+    stream_game,
+    tree_compl_value,
+)
 from sgsolve import pe
 from sgsolve.bounds import state_update
 from sgsolve.ce import solve_ce
 from sgsolve.ecsolve import MecTracker
 from sgsolve.generators import fig1_left, fig1_right, fig2_chain, generate
 from sgsolve.graph import mec_decompose
-from sgsolve.objectives import LabelMismatch, Objective, ObjectiveKind
+from sgsolve.model import build_game
+from sgsolve.objectives import LabelMismatch, Objective, ObjectiveKind, prepare
 from sgsolve.oracle import SingularSystem, TooLarge, game_value_bruteforce
 from sgsolve.pe import solve_pe
 
@@ -498,3 +508,119 @@ class TestChangeDrivenSweeps:
         for model, objective, seed, budget in sweep_instances(rng):
             solve_pe(model, objective, seed=seed, max_paths=budget)
         assert settled
+
+
+def absorbing_game():
+    """Maximizer state 0 moves to the absorbing states 1 (reward 2) or 2
+    (reward 7), or to the Minimizer state 3 (reward 5), which can move
+    back to 0 or stay."""
+    return build_game(
+        [MAX, MAX, MAX, MIN],
+        [(dirac(1), dirac(2), dirac(3)), (dirac(1),), (dirac(2),), (dirac(0), dirac(3))],
+        [4.0, 2.0, 7.0, 5.0],
+        0,
+    )
+
+
+@pytest.mark.parametrize(
+    "objective, expected",
+    [
+        # State: the interval after ``expand``, in the caller's orientation.
+        (Objective(ObjectiveKind.MEAN_PAYOFF, rmin=0.0, rmax=10.0),
+         {0: (0.0, 10.0), 1: (2.0, 2.0), 2: (7.0, 7.0), 3: (0.0, 10.0)}),
+        (Objective.reachability({1}),
+         {0: (0.0, 1.0), 1: (1.0, 1.0), 2: (0.0, 0.0), 3: (0.0, 1.0)}),
+        # ``prepare`` makes the avoid state 3 absorbing.
+        (Objective.reachability({1}, avoid={3}),
+         {0: (0.0, 1.0), 1: (1.0, 1.0), 2: (0.0, 0.0), 3: (0.0, 0.0)}),
+        # Through the dual: reachability of the unsafe states 1 and 3.
+        (Objective.safety({1, 3}),
+         {0: (0.0, 1.0), 1: (0.0, 0.0), 2: (1.0, 1.0), 3: (0.0, 0.0)}),
+    ],
+)
+def test_expand_pins_absorbing_states_to_their_value(objective, expected):
+    query = prepare(absorbing_game(), objective)
+    part = pe.PartialState(query.model, query.objective)
+    for s in expected:
+        part.expand(s)
+    bounds = query.orient(part.bounds)
+    assert {s: (bounds.lb[s], bounds.ub[s]) for s in expected} == expected
+
+
+def test_fig2chain_14_takes_few_paths():
+    # Each jump through a recorded exit used to land back on the state it
+    # left; 1,622 paths converged.
+    model, labels = fig2_chain(14)
+    result = solve_pe(model, Objective.reachability(labels["goal"]), seed=0)
+    assert result.converged
+    assert result.iterations <= 200
+    assert abs(result.value - 2.0**-14) <= 2e-6
+    assert result.lower - 1e-12 <= 2.0**-14 <= result.upper + 1e-12
+
+
+def test_treemulsec_7_takes_few_paths():
+    # Absorbing leaves sat at their a-priori bounds until a refresh; 688
+    # paths converged.
+    model, _ = generate("treemulsec", n=7)
+    result = solve_pe(model, Objective.mean_payoff(model), seed=7)
+    assert result.converged
+    assert result.iterations <= 250
+    assert (result.lower, result.upper) == (6.5, 6.5)
+
+
+def test_stream_game_18_reaches_the_state_behind_its_big_component():
+    # The last reachable state sits behind a 181-state MEC.  Exits chosen
+    # by their outside successors alone never reached it; the exit weight
+    # reads the whole support.
+    model, objective = stream_game(18)
+    ce = solve_ce(model, objective)
+    partial = solve_pe(model, objective, seed=18, max_paths=1_000)
+    assert ce.converged and partial.converged
+    assert ce.lower <= partial.upper and partial.lower <= ce.upper
+
+
+@pytest.mark.parametrize("family", ["treemulcomplmec", "treemulcomplsec"])
+def test_tree_compl_families_bracket_their_closed_form(family):
+    value = tree_compl_value(6)
+    assert value == 4.5
+    model, _ = generate(family, n=6)
+    result = solve_pe(model, Objective.mean_payoff(model), seed=0)
+    assert result.converged
+    assert result.lower <= value <= result.upper
+    assert result.upper - result.lower < 2e-6
+
+
+@pytest.fixture
+def checked_jumps(monkeypatch):
+    """Checks that no jump through a recorded exit lands on a state whose
+    memory holds that exit, unless every successor of the exit does;
+    counts the jumps."""
+    real = pe._sample_successor
+    jumps = [0]
+
+    def sample(dist, part, rng, memory, exit):
+        t = real(dist, part, rng, memory, exit)
+        if exit is not None:
+            jumps[0] += 1
+            inside = [u for u, _ in dist.support if exit in memory.get(u, ())]
+            assert t not in inside or len(inside) == len(dist.support)
+        return t
+
+    monkeypatch.setattr(pe, "_sample_successor", sample)
+    return jumps
+
+
+class TestJumpsLeaveTheRegion:
+    def test_on_random_games(self, checked_jumps, rng):
+        for _ in range(200):
+            model = random_game(rng, max_states=8)
+            objective = random_objective(rng, model)
+            solve_pe(model, objective, seed=rng.randrange(1000), max_paths=300)
+        assert checked_jumps[0] > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_on_fig2chain(self, checked_jumps, seed):
+        model, labels = generate("fig2chain", k=10)
+        result = solve_pe(model, Objective.reachability(labels["goal"]), seed=seed)
+        assert result.converged
+        assert checked_jumps[0] > 0
