@@ -101,11 +101,16 @@ def extract_strategy(model: GameModel, bounds: BoundsVector, player: Player) -> 
     return Strategy(player, tuple(choice))
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Raise ValueError unless ``epsilon`` is positive and finite."""
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+
+
 def converged(bounds: BoundsVector, state: int, epsilon: float) -> bool:
     """Whether the midpoint of the bounds is an epsilon-precise value;
     an ``epsilon`` that is not positive and finite raises ValueError."""
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    check_epsilon(epsilon)
     return bounds.ub[state] - bounds.lb[state] < 2.0 * epsilon
 
 

@@ -24,12 +24,8 @@ does, so this is its exact value, and its SCC starts closed, with no MEC
 search and no tracker.  And the first ``MecTracker.process`` call of a
 tracker, made in the first round of its component, de-/inflates its
 whole MEC at the staying precision epsilon/4 before any candidate
-search.  That is sound whatever the bounds: let S* be the states of the
-MEC where the value is largest; if that value were above both the best
-Maximizer exit and the staying bound, every optimal Maximizer action at
-S* and every internal Minimizer action there would stay in S*, and a
-play kept in S* earns at most the staying bound, a contradiction (the
-``ecsolve`` module docstring spells it out; inflation is the dual).  By
+search.  That is sound whatever the bounds, since de-/inflating any end
+component is (the ``ecsolve`` module docstring gives the argument).  By
 the first round everything downstream has had its rounds, so the exits
 are usually final.  An end component whose staying bracket closes and
 where neither player's best exit beats staying then settles at once, and
@@ -43,10 +39,9 @@ stay valid."""
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional
 
-from .bounds import BoundsVector, converged, midpoint, state_update
+from .bounds import BoundsVector, check_epsilon, converged, midpoint, state_update
 from .ecsolve import MecTracker
 from .graph import mec_decompose, scc_decompose
 from .model import GameModel
@@ -88,8 +83,7 @@ def solve_ce(
     Under mean payoff, every absorbing state starts at ``[reward,
     reward]``, its exact value, so it needs no end-component tracker, and
     a tracker's first call de-/inflates its whole MEC before any candidate
-    search.  The module docstring gives the soundness argument for
-    both.
+    search.  The module docstring says why both are sound.
 
     ``initial_bounds`` overrides the default initialization (given in the
     original state numbering and the caller's orientation, and required to
@@ -102,8 +96,7 @@ def solve_ce(
     behaviour.  ``enable_collapse`` is accepted for compatibility and
     ignored: the value-1 and value-0 regions of a reachability query are
     always made absorbing."""
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    check_epsilon(epsilon)
     if not max_sweeps >= 1:
         raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
     if initial_bounds is not None:

@@ -505,10 +505,12 @@ class MecTracker:
     calls ran, in cached iterations it absorbed too (the steps those ran
     before are counted by the tracker they came from).
 
-    A ``process`` call that changes no bound and splits no candidate is
-    quiet.  After one, the tracker keeps the bounds that processing reads
-    (those of the MEC's states and of all their successors) until the
-    next call that is not skipped.
+    A ``process`` call that changes no bound and leaves no candidate's
+    staying bracket wider than ``precision`` (such a candidate is passed
+    to ``split_candidates``) is quiet.  After one, the tracker keeps the
+    bounds that processing reads (those of the MEC's states and of all
+    their successors) until the next call that is not skipped; they are
+    all that ``_nothing_to_do`` compares, since brackets never widen.
     """
 
     def __init__(self, mec: EndComponent, objective: Objective, epsilon: float):
@@ -523,9 +525,8 @@ class MecTracker:
         self._settled = False
         self._signature: Optional[tuple] = None
         self._reads: Optional[list[int]] = None
-        # After a quiet call: the lb and ub of ``_reads`` and the widest
-        # cached staying bracket of the candidates.
-        self._quiet: Optional[tuple[list[float], list[float], float]] = None
+        # After a quiet call: the lb and ub of ``_reads``.
+        self._quiet: Optional[tuple[list[float], list[float]]] = None
 
     def _recommender_signature(self, model: GameModel, bounds: BoundsVector) -> tuple:
         """Per-state optimal action sets under each bound.  Candidates are
@@ -601,17 +602,15 @@ class MecTracker:
 
     def _nothing_to_do(self, bounds: BoundsVector) -> bool:
         """Whether processing now would change nothing: the last call was
-        quiet, no bound it read has moved since, and every cached staying
-        bracket of the candidates is within the precision.  Then the
-        recommender signature is unchanged, no staying step and no split
-        runs, and every de-/inflation sees the bounds and the bracket it
-        saw in the quiet call, so it changes nothing again and picks the
-        same exits."""
+        quiet and no bound it read has moved since.  A quiet call left
+        every candidate's staying bracket within the precision, and
+        brackets never widen.  So the recommender signature is unchanged,
+        no staying step and no split runs, and every de-/inflation sees the
+        bounds and the bracket it saw in the quiet call, so it changes
+        nothing again and picks the same exits."""
         if self._quiet is None:
             return False
-        lb_seen, ub_seen, width = self._quiet
-        if width > self.precision:
-            return False
+        lb_seen, ub_seen = self._quiet
         reads = self._reads
         return (
             list(map(bounds.lb.__getitem__, reads)) == lb_seen
@@ -625,17 +624,9 @@ class MecTracker:
                 for dist in model.actions[s]:
                     reads.update(t for t, _ in dist.support)
             self._reads = sorted(reads)
-        assert self.candidates is not None
-        widths = [
-            iteration.hi - iteration.lo
-            for cands in self.candidates.values()
-            for c in cands
-            if (iteration := self.staying_cache.get(c.ec)) is not None
-        ]
         self._quiet = (
             list(map(bounds.lb.__getitem__, self._reads)),
             list(map(bounds.ub.__getitem__, self._reads)),
-            max(widths, default=-math.inf),
         )
 
     def _operate(

@@ -9,7 +9,7 @@ from typing import Iterable, TypeVar
 
 from . import graph
 from .bounds import BoundsVector
-from .model import Distribution, GameModel, build_game
+from .model import Distribution, GameModel
 from .result import SolveResult
 
 Oriented = TypeVar("Oriented", BoundsVector, SolveResult)
@@ -182,22 +182,14 @@ def reach_as_meanpayoff(
 ) -> tuple[GameModel, Objective]:
     """Turn a reachability query into an equivalent mean-payoff one.
 
-    Goal states become absorbing with reward 1 and every other state gets
-    reward 0; the mean payoff of the result equals the reachability value
-    of the original model.
+    Goal states become absorbing with reward 1, as ``prepare`` makes them
+    for reachability, and every other state gets reward 0; the mean payoff
+    of the result equals the reachability value of the original model.
+    Raises LabelMismatch on an empty goal or an unknown state id.
     """
     goal = frozenset(goal)
-    if not goal:
-        raise LabelMismatch("goal must be non-empty")
-    _check_labels(model, goal)
-    action_lists = []
-    rewards = []
-    for s in model.states():
-        if s in goal:
-            action_lists.append((Distribution.dirac(s),))
-            rewards.append(1.0)
-        else:
-            action_lists.append(model.actions[s])
-            rewards.append(0.0)
-    transformed = build_game(model.owners, action_lists, rewards, model.initial)
+    absorbed = prepare(model, Objective.reachability(goal)).model
+    transformed = replace(
+        absorbed, rewards=tuple(1.0 if s in goal else 0.0 for s in model.states())
+    )
     return transformed, Objective.mean_payoff(transformed)

@@ -22,10 +22,10 @@ update or a de-/inflation, and stays sound.
 
 The end components are maintained incrementally: a component refresh
 decomposes again only the explored SCCs that hold a state expanded since
-the last refresh, and keeps the trackers of every other MEC, whose
-``process`` is then skipped for as long as nothing it reads has moved
-(see ``MecTracker``); a settled tracker remembers it and is not
-processed again.
+the last refresh or lie on a way between two such, and keeps the
+trackers of every other MEC, whose ``process`` is then skipped for as
+long as nothing it reads has moved (see ``MecTracker``); a settled
+tracker remembers it and is not processed again.
 
 Each refresh ends with two Gauss-Seidel sweeps over the explored region
 that are driven by changes: a predecessor index, grown as states are
@@ -37,12 +37,12 @@ bounds are bit for bit those of two full sweeps (see ``_sweep``).
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Callable, Optional
 
 from .bounds import (
-    BoundsVector, converged as bounds_converged, midpoint, optimal_actions, state_update,
+    BoundsVector, check_epsilon, converged as bounds_converged, midpoint, optimal_actions,
+    state_update,
 )
 from .ecsolve import MecTracker
 from .graph import EndComponent, mec_decompose
@@ -149,7 +149,9 @@ def sample_path(
     Returns the visited (state, action) pairs and whether the path was cut
     off by the revisit budget (a sign of looping inside an unresolved end
     component).  A path stops at a state whose gap is below
-    ``2 * epsilon``, an expanded absorbing state among them."""
+    ``2 * epsilon``, an expanded absorbing state among them, or at a
+    state's visit ``REVISIT_BUDGET + 1``.  Each earlier visit adds one
+    pair, two on a jump: at most ``2 * REVISIT_BUDGET`` per state."""
     path: list[tuple[int, int]] = []
     visits: dict[int, int] = {}
     looped = False
@@ -161,8 +163,6 @@ def sample_path(
             break
         if visits[state] > REVISIT_BUDGET:
             looped = True
-            break
-        if len(path) > 50 * len(part.explored) + 100:
             break
         entries = memory.get(state)
         if entries:
@@ -191,29 +191,27 @@ def _backpropagate(model: GameModel, part: PartialState, path) -> None:
         state_update(model, part.bounds, state)
 
 
-def _changed_region(model: GameModel, explored: set[int], added: list[int]) -> set[int]:
+def _changed_region(model: GameModel, part: PartialState) -> set[int]:
     """The explored states that are reachable from an added state and can
-    reach one, inside the explored region: the union of the region's SCCs
-    that hold an added state.  A forward search from the added states
-    records the edges it follows; a backward search over those edges
-    from the added states keeps the states on a way back."""
-    reached = set(added)
-    preds: dict[int, list[int]] = {}
-    stack = list(added)
+    reach one, inside the explored region: a union of the region's SCCs,
+    those that hold an added state and those on a way between two of
+    them.  A forward search from the added states finds the states they
+    reach; a backward search from them over ``part.preds``, kept inside
+    that set, finds those among them that reach an added state."""
+    explored = part.explored
+    reached = set(part.added)
+    stack = list(part.added)
     while stack:
-        s = stack.pop()
-        for dist in model.actions[s]:
+        for dist in model.actions[stack.pop()]:
             for t, _ in dist.support:
-                if t in explored:
-                    preds.setdefault(t, []).append(s)
-                    if t not in reached:
-                        reached.add(t)
-                        stack.append(t)
-    region = set(added)
-    stack = list(added)
+                if t in explored and t not in reached:
+                    reached.add(t)
+                    stack.append(t)
+    region = set(part.added)
+    stack = list(part.added)
     while stack:
-        for s in preds.get(stack.pop(), ()):
-            if s not in region:
+        for s in part.preds.get(stack.pop(), ()):
+            if s in reached and s not in region:
                 region.add(s)
                 stack.append(s)
     return region
@@ -232,8 +230,9 @@ def _refresh_components(
     every component that is not yet settled.
 
     ``trackers`` hold the MECs of the region as it was at the last call.
-    Only the region's SCCs that hold a state expanded since then are
-    decomposed again: any other SCC was an SCC then, with the same
+    Only the region's SCCs that hold a state expanded since then, and
+    those on a way between two such, are decomposed again
+    (``_changed_region``): any other SCC was an SCC then, with the same
     internal edges, so its MECs and their trackers stand as they are.  A
     decomposed MEC keeps the tracker of an equal old one; a new MEC gets a
     new tracker that absorbs the caches of the old ones it overlaps.  The
@@ -255,7 +254,7 @@ def _refresh_components(
     bounds of two full sweeps."""
     fresh = trackers
     if part.added:
-        region = _changed_region(model, part.explored, part.added)
+        region = _changed_region(model, part)
         part.added = []
         part.decomposed_states += len(region)
         fresh = []
@@ -273,10 +272,11 @@ def _refresh_components(
             tracker = old_by_mec.pop(mec, None)
             if tracker is None:
                 tracker = MecTracker(mec, objective, epsilon)
-                for s in mec.states:
-                    old = old_by_state.get(s)
-                    if old is not None:
-                        tracker.absorb(old)
+                # Each old tracker once, in the order its states come up.
+                for old in dict.fromkeys(
+                    old_by_state[s] for s in mec.states if s in old_by_state
+                ):
+                    tracker.absorb(old)
             fresh.append(tracker)
         fresh.sort(key=lambda tracker: min(tracker.mec.states))
         part.dropped_staying_steps += sum(t.staying_steps for t in old_by_mec.values())
@@ -362,8 +362,7 @@ def solve_pe(
     (``sweep_updates``) and the number of staying-value steps the
     trackers ran, those of trackers dropped as their components grew
     included (``staying_steps``)."""
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    check_epsilon(epsilon)
     if not max_paths >= 1:
         raise ValueError(f"max_paths must be at least 1, got {max_paths}")
     query = prepare(model, objective)

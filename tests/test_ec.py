@@ -655,6 +655,51 @@ class TestProcessSkip:
         monkeypatch.setattr(MecTracker, "_nothing_to_do", lambda tracker, bounds: False)
         assert two_calls() == [first, second]
 
+    def test_quiet_calls_leave_every_bracket_within_precision(self, monkeypatch, rng):
+        """``_nothing_to_do`` compares bounds only: it relies on a quiet
+        call leaving every candidate's staying bracket within the
+        tracker's precision, since brackets never widen."""
+        real = MecTracker.process
+        quiet = []
+
+        def process(tracker, model, bounds):
+            exits = real(tracker, model, bounds)
+            if exits is not None and tracker._quiet is not None:
+                widths = [
+                    iteration.hi - iteration.lo
+                    for cands in tracker.candidates.values()
+                    for c in cands
+                    if (iteration := tracker.staying_cache.get(c.ec)) is not None
+                ]
+                assert all(w <= tracker.precision for w in widths)
+                quiet.append(bool(widths))
+            return exits
+
+        monkeypatch.setattr(MecTracker, "process", process)
+        # Closed bounds that no de-/inflation moves: the whole-MEC candidate
+        # stalls and splits while no bound changes.  Searching candidates
+        # first skips the whole-MEC step, which would settle the tracker.
+        for order in (0, 1):
+            model = split_value_mec_model(order, order)
+            (mec,) = mec_decompose(model).mecs
+            tracker = MecTracker(mec, Objective.mean_payoff(model), 1e-6)
+            bounds = BoundsVector([5.0, 5.0], [5.0, 5.0])
+            tracker.refresh_candidates(model, bounds)
+            for _ in range(3):
+                tracker.process(model, bounds)
+            assert bounds == BoundsVector([5.0, 5.0], [5.0, 5.0])
+        cases = [
+            (model, Objective.mean_payoff(model), seed)
+            for model in (split_value_mec_model(), split_value_mec_model(1, 1))
+            for seed in (0, 1)
+        ]
+        for _ in range(150):
+            model = random_game(rng, max_states=8)
+            cases.append((model, random_objective(rng, model), rng.randrange(1000)))
+        self.solves(cases)
+        # Quiet calls with a staying iteration among their candidates.
+        assert sum(quiet) > 0
+
     def test_fires_on_most_pe_calls(self, monkeypatch):
         model, _ = generate("treemulsec", n=5)
         skips = self.count_skips(monkeypatch)

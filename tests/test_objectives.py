@@ -3,10 +3,10 @@ the reachability to mean-payoff reduction."""
 
 import pytest
 
-from conftest import MAX, MIN, chain_model, dirac, dist, loop_exit_model
+from conftest import MAX, MIN, chain_model, dirac, dist, loop_exit_model, random_game
 from sgsolve.bounds import BoundsVector
 from sgsolve.graph import mec_decompose
-from sgsolve.model import build_game
+from sgsolve.model import Distribution, build_game
 from sgsolve.objectives import (
     LabelMismatch,
     Objective,
@@ -187,6 +187,27 @@ class TestReachAsMeanPayoff:
             mec.states == frozenset({1})
             for mec in mec_decompose(transformed).mecs
         )
+
+    def test_matches_a_rebuilt_model_on_random_games(self, rng):
+        def rebuilt(model, goal):
+            action_lists = []
+            rewards = []
+            for s in model.states():
+                if s in goal:
+                    action_lists.append((Distribution.dirac(s),))
+                    rewards.append(1.0)
+                else:
+                    action_lists.append(model.actions[s])
+                    rewards.append(0.0)
+            return build_game(model.owners, action_lists, rewards, model.initial)
+
+        for _ in range(200):
+            model = random_game(rng, max_states=8)
+            goal = rng.sample(range(model.num_states), rng.randint(1, model.num_states))
+            transformed, objective = reach_as_meanpayoff(model, goal)
+            expected = rebuilt(model, frozenset(goal))
+            assert transformed == expected
+            assert objective == Objective.mean_payoff(expected)
 
     def test_empty_goal_rejected(self):
         with pytest.raises(LabelMismatch):

@@ -1,5 +1,6 @@
 """Partial-exploration solver."""
 
+import networkx as nx
 import pytest
 
 from conftest import (
@@ -17,7 +18,7 @@ from sgsolve.bounds import state_update
 from sgsolve.ce import solve_ce
 from sgsolve.ecsolve import MecTracker
 from sgsolve.generators import fig1_left, fig1_right, fig2_chain, generate
-from sgsolve.graph import mec_decompose
+from sgsolve.graph import mec_decompose, scc_decompose
 from sgsolve.model import build_game
 from sgsolve.objectives import LabelMismatch, Objective, ObjectiveKind, prepare
 from sgsolve.oracle import SingularSystem, TooLarge, game_value_bruteforce
@@ -133,6 +134,47 @@ def test_memory_disabled_loops_on_end_components():
         use_deflate_memory=False,
     )
     assert not result.converged
+
+
+@pytest.fixture
+def checked_path_lengths(monkeypatch):
+    """Checks that no sampled path has more than ``2 * (REVISIT_BUDGET +
+    1)`` pairs per explored state; collects the largest ratio seen."""
+    real = pe.sample_path
+    ratios = [0.0]
+
+    def sample(model, part, memory, rng, epsilon):
+        path, looped = real(model, part, memory, rng, epsilon)
+        assert len(path) <= 2 * (pe.REVISIT_BUDGET + 1) * len(part.explored)
+        ratios[0] = max(ratios[0], len(path) / len(part.explored))
+        return path, looped
+
+    monkeypatch.setattr(pe, "sample_path", sample)
+    return ratios
+
+
+class TestPathLength:
+    """The revisit budget alone bounds a path's length."""
+
+    @pytest.mark.parametrize("use_memory", [True, False])
+    def test_on_random_games(self, checked_path_lengths, rng, use_memory):
+        for _ in range(150):
+            model = random_game(rng, max_states=8)
+            objective = random_objective(rng, model)
+            solve_pe(
+                model, objective, seed=rng.randrange(1000), max_paths=300,
+                use_deflate_memory=use_memory,
+            )
+        assert checked_path_lengths[0] > 1.0
+
+    @pytest.mark.parametrize("use_memory", [True, False])
+    def test_on_fig2chain(self, checked_path_lengths, use_memory):
+        model, labels = generate("fig2chain", k=10)
+        solve_pe(
+            model, Objective.reachability(labels["goal"]), seed=0, max_paths=2_000,
+            use_deflate_memory=use_memory,
+        )
+        assert checked_path_lengths[0] > 0.0
 
 
 def test_agrees_with_complete_solver():
@@ -328,6 +370,41 @@ class TestIncrementalComponents:
         assert result.converged
         assert result.stats["refreshes"] == len(checked_refreshes)
         assert any(checked_refreshes)
+
+    def test_changed_region_is_the_way_between_added_states(self, rng):
+        """The region holds the explored states on a way from an added state
+        to an added state; it is a union of the explored region's SCCs that
+        covers every SCC holding an added state."""
+        between = 0
+        for _ in range(300):
+            model = random_game(rng, max_states=12)
+            explored = rng.sample(range(model.num_states), rng.randint(1, model.num_states))
+            part = pe.PartialState(model, Objective.mean_payoff(model))
+            for s in explored:
+                part.expand(s)
+            added = part.added = rng.sample(explored, rng.randint(1, len(explored)))
+            graph = nx.DiGraph()
+            graph.add_nodes_from(explored)
+            graph.add_edges_from(
+                (s, t)
+                for s in explored
+                for dist in model.actions[s]
+                for t, _ in dist.support
+                if t in part.explored
+            )
+            forward = set(added).union(*(nx.descendants(graph, a) for a in added))
+            backward = set(added).union(*(nx.ancestors(graph, a) for a in added))
+            region = pe._changed_region(model, part)
+            assert region == forward & backward
+            holding = set()
+            for component in scc_decompose(model, restrict_to=explored):
+                inside = region.issuperset(component)
+                assert inside or region.isdisjoint(component)
+                if not set(component).isdisjoint(added):
+                    assert inside
+                    holding.update(component)
+            between += region != holding
+        assert between > 0
 
     def test_each_state_is_decomposed_about_once(self):
         model, _ = generate("treemulsec", n=7)
