@@ -499,11 +499,18 @@ class MecTracker:
     long a call iterates, and each call runs a bounded number of steps.
     The staying cache holds one iteration per end component (keyed by the
     ``EndComponent`` itself), compiled once and shared by the deflated
-    Maximizer candidate and the inflated Minimizer candidate over it.
+    Maximizer candidate and the inflated Minimizer candidate over it.  An
+    iteration is kept for the tracker's whole life, also while its end
+    component is no candidate, so a candidate that comes back resumes it.
+    That is sound: the bracket holds from any finite iterate (see
+    ``_StayingIteration``), and the key fixes the internal actions the
+    iteration runs on.  When partial exploration grows the MEC, the whole
+    cache is handed over to the tracker of the grown MEC (``absorb``).
 
-    ``staying_steps`` counts the staying-value steps that its ``process``
-    calls ran, in cached iterations it absorbed too (the steps those ran
-    before are counted by the tracker they came from).
+    ``staying_steps`` is the number of plain steps that the cached
+    iterations have run, those an absorbed iteration ran before included.
+    A tracker that handed its cache over is dropped, so summing over the
+    live trackers counts every step once.
 
     A ``process`` call that changes no bound and leaves no candidate's
     staying bracket wider than ``precision`` (such a candidate is passed
@@ -519,7 +526,6 @@ class MecTracker:
         self.epsilon = epsilon
         self.precision = epsilon / 4.0
         self.staying_cache: dict = {}
-        self.staying_steps = 0
         self.candidates: Optional[dict[Player, list[SecCandidate]]] = None
         self.settled_whole = False
         self._settled = False
@@ -545,7 +551,15 @@ class MecTracker:
             )
         return tuple(parts)
 
+    @property
+    def staying_steps(self) -> int:
+        return sum(iteration.steps for iteration in self.staying_cache.values())
+
     def refresh_candidates(self, model: GameModel, bounds: BoundsVector) -> None:
+        """Derive the candidates anew if the recommender signature changed.
+        The staying cache is left as it is: an end component that is no
+        longer a candidate keeps its iteration, and resumes it if it comes
+        back (see the class docstring)."""
         signature = self._recommender_signature(model, bounds)
         if self.candidates is not None and signature == self._signature:
             return
@@ -578,14 +592,6 @@ class MecTracker:
                     dict.fromkeys(sec_candidates(model, self.mec, beneficiary, optimal))
                 )
             new[beneficiary] = list(found)
-        if self.candidates is not None:
-            old = {c for cands in self.candidates.values() for c in cands}
-            current = {c for cands in new.values() for c in cands}
-            if old != current:
-                ecs = {c.ec for c in current}
-                self.staying_cache = {
-                    ec: v for ec, v in self.staying_cache.items() if ec in ecs
-                }
         self.candidates = new
         self._signature = signature
 
@@ -633,19 +639,13 @@ class MecTracker:
         self, model: GameModel, candidate: SecCandidate, bounds: BoundsVector
     ) -> tuple[bool, list[tuple[int, int]], Optional[_StayingIteration]]:
         """Deflate a Maximizer candidate or inflate a Minimizer one at the
-        staying precision, counting the staying steps it runs.  Returns
-        whether a bound changed, the best exits and the candidate's staying
-        iteration (None for reachability)."""
+        staying precision.  Returns whether a bound changed, the best exits
+        and the candidate's staying iteration (None for reachability)."""
         operate = deflate if candidate.beneficiary is Player.MAXIMIZER else inflate
-        iteration = self.staying_cache.get(candidate.ec)
-        ran = 0 if iteration is None else iteration.steps
         changed, exits = operate(
             model, candidate, bounds, self.objective, self.precision, self.staying_cache
         )
-        iteration = self.staying_cache.get(candidate.ec)
-        if iteration is not None:
-            self.staying_steps += iteration.steps - ran
-        return changed, exits, iteration
+        return changed, exits, self.staying_cache.get(candidate.ec)
 
     def process(self, model: GameModel, bounds: BoundsVector) -> Optional[list[Exit]]:
         """De-/inflate the MEC's candidates.  Returns, for the simulation
@@ -709,7 +709,8 @@ class MecTracker:
         return used
 
     def absorb(self, other: "MecTracker") -> None:
-        """Carry over cached information from a tracker whose MEC was
-        subsumed by this one (partial-exploration growth)."""
+        """Take over the staying cache of a tracker whose MEC this one's
+        holds (partial-exploration growth).  Each cached end component is
+        still an end component there, with the same internal actions, so
+        its iteration resumes soundly; ``other`` is then dropped."""
         self.staying_cache.update(other.staying_cache)
-        self._quiet = None

@@ -168,9 +168,9 @@ def mec_decompose(
             allowed_actions=lambda s: allowed[s],
         )
         if not changed and len(components) == 1 and len(components[0]) == len(candidate):
-            comp = components[0]
-            if len(comp) > 1 or _has_internal_action(model, comp[0], pruned[comp[0]]):
-                mecs.append(EndComponent.of(comp, {s: pruned[s] for s in comp}))
+            # Nothing was pruned, so every action is internal: at a
+            # one-state candidate, a self-loop.
+            mecs.append(EndComponent.of(components[0], pruned))
             continue
         for comp in components:
             sub = {s: pruned[s] for s in comp if s in pruned}
@@ -181,13 +181,6 @@ def mec_decompose(
         # actions leave the singleton), so the loop terminates.
     mecs.sort(key=lambda ec: min(ec.states))
     return MecDecomposition(tuple(mecs))
-
-
-def _has_internal_action(model: GameModel, state: int, actions: Sequence[int]) -> bool:
-    return any(
-        all(t == state for t, _ in model.distribution(state, a).support)
-        for a in actions
-    )
 
 
 def _check_ids(model: GameModel, states: Iterable[int]) -> None:

@@ -84,8 +84,6 @@ class PartialState:
         self.dirty: set[int] = set()
         self.recorded = self.bounds.copy()
         self.sweep_updates = 0
-        # The staying-value steps of the trackers dropped so far.
-        self.dropped_staying_steps = 0
 
     def expand(self, state: int) -> None:
         if state in self.explored:
@@ -234,10 +232,16 @@ def _refresh_components(
     those on a way between two such, are decomposed again
     (``_changed_region``): any other SCC was an SCC then, with the same
     internal edges, so its MECs and their trackers stand as they are.  A
-    decomposed MEC keeps the tracker of an equal old one; a new MEC gets a
-    new tracker that absorbs the caches of the old ones it overlaps.  The
-    result equals ``mec_decompose(model, restrict_to=part.explored)``,
-    in its order.
+    decomposed MEC keeps the tracker of an equal old one; any other gets a
+    new tracker.  Each old tracker that kept no MEC hands its whole staying
+    cache to the tracker of the one new MEC that holds its states
+    (``MecTracker.absorb``) and is dropped.  That MEC exists and is
+    unique: the region only grows, so the old MEC is still an end
+    component and lies in exactly one MEC, which strictly holds it and so
+    is no old MEC, since old MECs are disjoint.  The handed-over
+    iterations resume soundly, each on the same end component.  The result
+    equals ``mec_decompose(model, restrict_to=part.explored)``, in its
+    order.
 
     A settled tracker (``MecTracker.settled``, which remembers a True
     answer) is not processed; it stays in the returned list.  A
@@ -259,27 +263,23 @@ def _refresh_components(
         part.decomposed_states += len(region)
         fresh = []
         old_by_mec: dict[EndComponent, MecTracker] = {}
-        old_by_state: dict[int, MecTracker] = {}
         for tracker in trackers:
             # A MEC lies inside one SCC, so it is in the region or outside it.
             if next(iter(tracker.mec.states)) not in region:
                 fresh.append(tracker)
                 continue
             old_by_mec[tracker.mec] = tracker
-            for s in tracker.mec.states:
-                old_by_state[s] = tracker
+        # The tracker made for each new MEC, by state.
+        holder: dict[int, MecTracker] = {}
         for mec in mec_decompose(model, restrict_to=region).mecs:
             tracker = old_by_mec.pop(mec, None)
             if tracker is None:
                 tracker = MecTracker(mec, objective, epsilon)
-                # Each old tracker once, in the order its states come up.
-                for old in dict.fromkeys(
-                    old_by_state[s] for s in mec.states if s in old_by_state
-                ):
-                    tracker.absorb(old)
+                holder.update(dict.fromkeys(mec.states, tracker))
             fresh.append(tracker)
+        for old in old_by_mec.values():
+            holder[next(iter(old.mec.states))].absorb(old)
         fresh.sort(key=lambda tracker: min(tracker.mec.states))
-        part.dropped_staying_steps += sum(t.staying_steps for t in old_by_mec.values())
     for tracker in fresh:
         if tracker.settled(part.bounds):
             continue
@@ -360,8 +360,11 @@ def solve_pe(
     they passed to ``mec_decompose`` (``decomposed_states``), the number
     of ``state_update`` calls their change-driven sweeps made
     (``sweep_updates``) and the number of staying-value steps the
-    trackers ran, those of trackers dropped as their components grew
-    included (``staying_steps``)."""
+    trackers ran (``staying_steps``), those of dropped trackers included:
+    a tracker keeps each staying iteration for its whole life and hands
+    them over whole when its component grows, so the last trackers hold
+    them all.  Both are sound, as a staying bracket holds from any finite
+    iterate and a grown component keeps each cached end component."""
     check_epsilon(epsilon)
     if not max_paths >= 1:
         raise ValueError(f"max_paths must be at least 1, got {max_paths}")
@@ -412,7 +415,6 @@ def solve_pe(
             "refreshes": refreshes,
             "decomposed_states": part.decomposed_states,
             "sweep_updates": part.sweep_updates,
-            "staying_steps": part.dropped_staying_steps
-            + sum(tracker.staying_steps for tracker in trackers),
+            "staying_steps": sum(tracker.staying_steps for tracker in trackers),
         },
     ))

@@ -134,6 +134,12 @@ def test_repeated_generator_parameter(capsys):
     assert "parameter 'n' is given more than once" in capsys.readouterr().err
 
 
+def test_generator_parameter_without_value(capsys):
+    code = run(["--generate", "treemulsec", "--param", "n", "--objective", "mean-payoff"])
+    assert code == 1
+    assert "expected name=value, got 'n'" in capsys.readouterr().err
+
+
 def test_unknown_label(capsys):
     code = run(["--generate", "fig1left", "--objective", "reach",
                 "--goal", "nosuchlabel"])
@@ -158,6 +164,10 @@ def usage_error_code(capsys, argv):
 
 def test_reach_requires_goal(capsys):
     assert usage_error_code(capsys, ["--generate", "fig1left", "--objective", "reach"]) == 1
+
+
+def test_safety_requires_unsafe(capsys):
+    assert usage_error_code(capsys, ["--generate", "fig1left", "--objective", "safety"]) == 1
 
 
 def test_unparsable_precision_is_usage_error(capsys):

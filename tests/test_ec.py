@@ -461,6 +461,31 @@ class TestMecTracker:
         grown = MecTracker(mec, objective, 1e-6)
         grown.absorb(tracker)
         assert grown.staying_cache[mec] is tracker.staying_cache[mec]
+        assert grown.staying_steps == tracker.staying_steps > 0
+
+    def test_keeps_every_iteration_it_compiled(self, monkeypatch):
+        """The candidates of the split-value MEC change as its bounds
+        close; an end component that stops being a candidate keeps its
+        staying iteration, and ``staying_steps`` counts the steps of all."""
+        compiled = []
+        compile_ = _StayingIteration.compile
+
+        def recording(model, ec):
+            compiled.append(compile_(model, ec))
+            return compiled[-1]
+
+        monkeypatch.setattr(_StayingIteration, "compile", staticmethod(recording))
+        model = split_value_mec_model()
+        (mec,) = mec_decompose(model).mecs
+        tracker = MecTracker(mec, Objective.mean_payoff(model), 1e-6)
+        bounds = BoundsVector([0.0, 0.0], [10.0, 10.0])
+        for _ in range(60):
+            tracker.process(model, bounds)
+        assert bounds == BoundsVector([10.0, 0.0], [10.0, 0.0])
+        cached = list(tracker.staying_cache.values())
+        assert len(compiled) > 1
+        assert all(any(it is c for c in cached) for it in compiled)
+        assert tracker.staying_steps == sum(it.steps for it in compiled) > 0
 
     def test_settled(self):
         model = split_value_mec_model()

@@ -126,6 +126,61 @@ def test_round_trip_is_identity_on_random_games(seed):
             "action -> 0:0.5\n",
             "sums to",
         ),
+        # The fragments below give the line, as the message starts with it.
+        ("sg-explicit 1\nstates abc\n", "line 2, column 1: expected state count, got 'abc'"),
+        ("sg-explicit 1\n", "line 1, column 1: missing 'states' declaration"),
+        ("sg-explicit 1\nstates 1\n", "line 2, column 1: missing 'initial' declaration"),
+        (
+            "sg-explicit 1\nstates 1\ninitial 0\nstate 0 MAX\n",
+            "line 4, column 1: expected 'state <id> <MAX|MIN> reward=<value>'",
+        ),
+        (
+            "sg-explicit 1\nstates 1\ninitial 0\nstate 9 MAX reward=0\n",
+            "line 4, column 1: state id 9 out of range",
+        ),
+        (
+            "sg-explicit 1\nstates 1\ninitial 0\nstate 0 MAX 0\n",
+            "line 4, column 1: expected reward=<value>",
+        ),
+        (
+            "sg-explicit 1\nstates 1\ninitial 0\nstate 0 MAX reward=0\naction 0:1\n",
+            "line 5, column 1: expected 'action -> target:prob ...'",
+        ),
+        (
+            "sg-explicit 1\nstates 1\ninitial 0\nstate 0 MAX reward=0\naction -> 0\n",
+            "line 5, column 1: expected target:prob, got '0'",
+        ),
+        (
+            "sg-explicit 1\nstates 1\ninitial 0\nstate 0 MAX reward=0\n"
+            "action -> 0:1.0\nlabel g 0\n",
+            "line 6, column 1: expected 'label <name> = {id, ...}'",
+        ),
+        (
+            "sg-explicit 1\nstates 1\ninitial 0\nstate 0 MAX reward=0\n"
+            "action -> 0:1.0\nlabel 1x = {0}\n",
+            "line 6, column 1: invalid label name '1x'",
+        ),
+        (
+            "sg-explicit 1\nstates 1\ninitial 0\nstate 0 MAX reward=0\n"
+            "action -> 0:1.0\nlabel g = {0}\nlabel g = {}\n",
+            "line 7, column 1: label 'g' defined twice",
+        ),
+        (
+            "sg-explicit 1\nstates 2\ninitial 0\nstate 0 MAX reward=0\n"
+            "action -> 0:1.0\nlabel g = {0,,1}\n",
+            "line 6, column 1: empty entry in label set",
+        ),
+        (
+            "sg-explicit 1\nstates 1\ninitial 0\nstate 0 MAX reward=0\n"
+            "action -> 0:1.0\nlabel g = {1}\n",
+            "line 6, column 1: label state 1 out of range",
+        ),
+        # Errors found after the last line report the last line.
+        (
+            "sg-explicit 1\nstates 2\ninitial 0\nstate 0 MAX reward=0\n"
+            "action -> 0:1.0\nstate 1 MIN reward=0\n",
+            "line 6, column 1: state 1 has no actions",
+        ),
     ],
 )
 def test_syntax_errors(text, fragment):

@@ -233,20 +233,44 @@ def test_stats_count_the_staying_steps_of_dropped_trackers(
     monkeypatch, staying_steps, family, params
 ):
     """Trackers are replaced as their components grow; ``staying_steps``
-    still counts every plain staying-value step of the solve."""
-    dropped = []
-    refresh = pe._refresh_components
+    still counts every plain staying-value step of the solve, those of the
+    iterations that dropped trackers handed over included."""
+    handed_over = []
+    absorb = MecTracker.absorb
 
-    def recording(model, part, *args):
-        fresh = refresh(model, part, *args)
-        dropped.append(part.dropped_staying_steps)
-        return fresh
+    def recording(tracker, other):
+        handed_over.append(other.staying_steps)
+        absorb(tracker, other)
 
-    monkeypatch.setattr(pe, "_refresh_components", recording)
+    monkeypatch.setattr(MecTracker, "absorb", recording)
     model, _ = generate(family, **params)
     result = solve_pe(model, Objective.mean_payoff(model))
-    assert dropped[-1] > 0
+    assert sum(handed_over) > 0
     assert result.stats["staying_steps"] == staying_steps[0]
+
+
+@pytest.mark.parametrize(
+    "family, params", [("treemulsec", {"n": 3}), ("fig2chain", {"k": 4})]
+)
+def test_instrument_sees_every_path_and_tightening_bounds(family, params):
+    model, labels = generate(family, **params)
+    if "goal" in labels:
+        objective = Objective.reachability(labels["goal"])
+    else:
+        objective = Objective.mean_payoff(model)
+    calls = []
+
+    def record(paths, work, part):
+        calls.append((paths, work, part.bounds.copy()))
+
+    result = solve_pe(model, objective, instrument=record)
+    assert result.converged
+    assert [paths for paths, _, _ in calls] == list(range(1, result.iterations + 1))
+    for (_, _, before), (_, _, after) in zip(calls, calls[1:]):
+        assert all(map(float.__le__, before.lb, after.lb))
+        assert all(map(float.__ge__, before.ub, after.ub))
+    _, work, last = calls[-1]
+    assert (last.lb[work.initial], last.ub[work.initial]) == (result.lower, result.upper)
 
 
 @pytest.mark.parametrize(
