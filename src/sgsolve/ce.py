@@ -15,7 +15,18 @@ component without trackers gets one round per pass.  Slow components
 (an end component whose staying bracket tightens slowly, a slowly mixing
 chain) thus wait for the next pass instead of holding it up.  A component
 whose gaps are all at most epsilon is resolved: gaps never widen, so it is
-never visited again and its trackers are dropped.
+never visited again and its trackers are dropped.  One whose gaps all
+start at most epsilon (an absorbing state pinned under mean payoff; a
+goal, avoid or qualitatively pinned state under reachability) is resolved
+before the first pass and never visited at all, and a solve whose initial
+state starts converged runs no pass.
+
+The MECs are searched for in the SCCs of the one Tarjan pass over the
+game that orders the components.  Each SCC is handed to
+``graph.mec_decompose`` as known to be strongly connected, so one that
+pruning its leaving actions leaves whole, with every inner edge, is
+confirmed as a MEC without a Tarjan pass of its own, and a one-state SCC
+without an action that stays in it is not searched at all.
 
 Two things settle an end component in one go where that is sound.
 Under mean payoff every absorbing state is pinned to ``[reward,
@@ -69,16 +80,19 @@ def solve_ce(
     describes; the solve stops as soon as the initial state has converged.
     ``iterations`` is the largest number of rounds any one component
     received, which for a game that is one component is the number of
-    sweeps, and ``max_sweeps`` caps it: a component that has had that many
-    rounds gets no more; a cap below 1, or an ``epsilon`` that is not
-    positive and finite, raises ValueError.  Returns
-    certified bounds even when the budget runs out (``converged`` is False
-    then).  ``instrument(iterations, model, bounds)`` is called after
-    every pass.  ``stats`` holds the size of the working model
-    (``working_states``), the number of staying-value steps the trackers
-    ran (``staying_steps``), the number of end-component trackers built
-    (``end_components``) and how many of those the whole-MEC step of
-    their first ``process`` call settled (``settled_whole``).
+    sweeps (a component that starts closed counts its initialization as
+    its one round), and ``max_sweeps`` caps it: a component that has had
+    that many rounds gets no more; a cap below 1, or an ``epsilon`` that
+    is not positive and finite, raises ValueError.  Returns certified
+    bounds even when the budget runs out (``converged`` is False then).
+    ``instrument(iterations, model, bounds)`` is called after every pass;
+    a solve whose initial state starts converged runs none.  ``stats``
+    holds the size of the working model (``working_states``), the number
+    of staying-value steps the trackers ran (``staying_steps``), the
+    number of end-component trackers built, one per MEC of a component
+    that starts open (``end_components``), and how many of those the
+    whole-MEC step of their first ``process`` call settled
+    (``settled_whole``).
 
     Under mean payoff, every absorbing state starts at ``[reward,
     reward]``, its exact value, so it needs no end-component tracker, and
@@ -122,30 +136,38 @@ def solve_ce(
         bounds = query.orient(initial_bounds).copy()
 
     lb, ub = bounds.lb, bounds.ub
+    if enable_deflation and objective.is_mean_payoff:
+        # The value of an absorbing state, a one-state end component, is
+        # its reward.
+        for s in work.states():
+            if work.is_absorbing(s):
+                lb[s] = ub[s] = work.rewards[s]
     components = scc_decompose(work)
+    # A component whose gaps all start at most epsilon is resolved before
+    # the first pass, with no tracker; its initialization counts as its
+    # one round.
+    pending = [
+        i for i, states in enumerate(components) if any(ub[s] - lb[s] > epsilon for s in states)
+    ]
     trackers: list[list[MecTracker]] = [[] for _ in components]
     if enable_deflation:
-        if objective.is_mean_payoff:
-            # The value of an absorbing state, a one-state end component,
-            # is its reward.
-            for s in work.states():
-                if work.is_absorbing(s):
-                    lb[s] = ub[s] = work.rewards[s]
-        # A MEC lies inside one SCC, so a search per SCC finds them all; an
-        # SCC whose bounds all start closed needs no tracker.
-        trackers = [
-            [MecTracker(mec, working_objective, epsilon) for mec in mec_decompose(work, c).mecs]
-            if any(lb[s] < ub[s] for s in c) else []
-            for c in components
-        ]
+        # A MEC lies inside one SCC, so a search per SCC, which needs no
+        # Tarjan of its own, finds them all.  A one-state SCC holds one only
+        # if an action stays in it, the test the search's pruning makes.
+        for i in pending:
+            c = components[i]
+            if len(c) > 1 or any(all(t in c for t, _ in d.support) for d in work.actions[c[0]]):
+                trackers[i] = [
+                    MecTracker(mec, working_objective, epsilon)
+                    for mec in mec_decompose(work, c, strongly_connected=True).mecs
+                ]
     # Every tracker, also those dropped once their component is resolved.
     made = [tracker for group in trackers for tracker in group]
 
     start = model.initial
     rounds = [0] * len(components)
-    pending = list(range(len(components)))
-    iterations = 0
-    done = False
+    iterations = 1 if len(pending) < len(components) else 0
+    done = converged(bounds, start, epsilon)
     while pending and not done:
         unresolved = []
         for i in pending:

@@ -119,13 +119,27 @@ def mec_decompose(
     model: GameModel,
     restrict_to: Optional[Iterable[int]] = None,
     allowed_actions: Optional[ActionFilter] = None,
+    *,
+    strongly_connected: bool = False,
 ) -> MecDecomposition:
     """Maximal end components by iterative SCC refinement.
 
-    Actions whose support leaves the candidate region are pruned; states
-    left without actions are dropped, and the process repeats until
-    stable.  ``restrict_to`` prunes actions leaving the given set rather
-    than treating them as errors.
+    Actions whose support leaves the candidate region are pruned and
+    states left without actions are dropped; Tarjan's algorithm splits
+    what remains into SCCs, each a candidate of its own, until stable.
+    ``restrict_to`` prunes actions leaving the given set rather than
+    treating them as errors.
+
+    A candidate known to be strongly connected needs no search of its
+    own when pruning keeps an action at each of its states and drops no
+    edge between two of them.  Strong connectivity depends only on the
+    edges inside the candidate, and every one of them is still there;
+    every kept action stays inside the candidate; so the candidate is an
+    end component, and since it is the whole SCC it was searched in, it
+    is the maximal end component there.  Every SCC that Tarjan's
+    algorithm returns is such a candidate.  ``strongly_connected``
+    declares that ``restrict_to`` (the whole game when None) is one too,
+    through ``allowed_actions``: an SCC the caller has already found.
     """
     if restrict_to is not None:
         base = frozenset(restrict_to)
@@ -138,47 +152,41 @@ def mec_decompose(
         return tuple(allowed_actions(state))
 
     mecs: list[EndComponent] = []
-    worklist: list[dict[int, tuple[int, ...]]] = [
-        {s: initial_actions(s) for s in sorted(base)}
+    # Candidates with whether each is known to be strongly connected.
+    worklist: list[tuple[dict[int, tuple[int, ...]], bool]] = [
+        ({s: initial_actions(s) for s in sorted(base)}, strongly_connected)
     ]
     while worklist:
-        candidate = worklist.pop()
-        states = frozenset(candidate)
-        # Keep only actions fully inside the candidate.
+        candidate, connected = worklist.pop()
+        # Keep only actions fully inside the candidate, and note whether
+        # every edge inside survives.
         pruned: dict[int, tuple[int, ...]] = {}
-        changed = False
+        intact = True
         for s, acts in candidate.items():
-            kept = tuple(
-                a
-                for a in acts
-                if all(t in states for t, _ in model.distribution(s, a).support)
-            )
-            if kept != acts:
-                changed = True
-            if kept:
-                pruned[s] = kept
-            else:
-                changed = True
+            dists = model.actions[s]
+            kept = tuple(a for a in acts if all(t in candidate for t, _ in dists[a].support))
+            if not kept:
+                continue
+            pruned[s] = kept
+            if intact and len(kept) < len(acts):
+                reached = {t for a in kept for t, _ in dists[a].support}
+                intact = all(
+                    t in reached or t not in candidate for a in acts for t, _ in dists[a].support
+                )
         if not pruned:
             continue
-        allowed = {s: set(a) for s, a in pruned.items()}
-        components = scc_decompose(
-            model,
-            restrict_to=pruned.keys(),
-            allowed_actions=lambda s: allowed[s],
-        )
-        if not changed and len(components) == 1 and len(components[0]) == len(candidate):
-            # Nothing was pruned, so every action is internal: at a
-            # one-state candidate, a self-loop.
-            mecs.append(EndComponent.of(components[0], pruned))
+        # With every state kept, every kept action stays inside the remainder.
+        whole = len(pruned) == len(candidate)
+        if connected and intact and whole:
+            mecs.append(EndComponent.of(pruned, pruned))
             continue
-        for comp in components:
-            sub = {s: pruned[s] for s in comp if s in pruned}
-            if sub:
-                worklist.append(sub)
-        # Singleton components without a self-loop action would be pushed
-        # forever; they are filtered by the pruning step above (their
-        # actions leave the singleton), so the loop terminates.
+        components = scc_decompose(
+            model, restrict_to=pruned.keys(), allowed_actions=pruned.__getitem__
+        )
+        if whole and len(components) == 1:
+            mecs.append(EndComponent.of(pruned, pruned))
+            continue
+        worklist.extend(({s: pruned[s] for s in comp}, True) for comp in components)
     mecs.sort(key=lambda ec: min(ec.states))
     return MecDecomposition(tuple(mecs))
 

@@ -62,7 +62,7 @@ class MissingChoice(ModelError):
         self.state = state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Distribution:
     """Sparse probability distribution over successor states.
 

@@ -15,12 +15,12 @@ from conftest import (
     split_value_mec_model,
     tree_compl_value,
 )
-from sgsolve import ecsolve
+from sgsolve import ecsolve, graph
 from sgsolve.bounds import BoundsVector, state_update
 from sgsolve.ce import solve_ce
 from sgsolve.ecsolve import MecTracker
 from sgsolve.generators import fig1_left, fig1_right, fig2_chain, generate
-from sgsolve.graph import EndComponent
+from sgsolve.graph import EndComponent, qualitative_reach
 from sgsolve.model import build_game
 from sgsolve.objectives import LabelMismatch, Objective, ObjectiveKind
 from sgsolve.oracle import SingularSystem, TooLarge, game_value_bruteforce
@@ -553,13 +553,89 @@ def test_uniform_end_components_settle_without_candidate_search(
 ):
     # Every end component has final exits and a uniform value, so the
     # whole-MEC step of its first process call settles it.  The interval is the one
-    # the candidate search gave, bit for bit.
+    # the candidate search gave, bit for bit, and so are the round and the steps.
     calls = counted_calls(monkeypatch)
     model, _ = generate(family, n=n)
     result = solve_ce(model, Objective.mean_payoff(model))
     assert calls == []
     assert (result.lower.hex(), result.upper.hex()) == (lower, upper)
     assert result.stats["settled_whole"] == result.stats["end_components"] > 0
+    assert result.iterations == 1
+    assert result.stats["staying_steps"] == {"treemulsec": 4096, "treebigmec": 65}[family]
+
+
+def test_mecs_are_confirmed_from_the_components_of_the_solve(monkeypatch):
+    # Every MEC of treemulsec is a whole SCC (a two-cycle), so the one
+    # Tarjan pass over the game is the only one.
+    model, _ = relabelled(*generate("treemulsec", n=4), 3)
+    calls = []
+    real = graph.scc_decompose
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "scc_decompose", counted)
+    monkeypatch.setattr("sgsolve.ce.scc_decompose", counted)
+    result = solve_ce(model, Objective.mean_payoff(model))
+    assert result.converged
+    assert result.stats["end_components"] == 16
+    assert len(calls) == 1
+
+
+def updated_states(monkeypatch) -> list[int]:
+    """List every state that CE's ``state_update`` is called on."""
+    states = []
+
+    def recorded(model, bounds, state):
+        states.append(state)
+        state_update(model, bounds, state)
+
+    monkeypatch.setattr("sgsolve.ce.state_update", recorded)
+    return states
+
+
+def test_states_that_start_closed_are_never_updated(monkeypatch):
+    updated = updated_states(monkeypatch)
+    model, _ = relabelled(*generate("treemulsec", n=4), 3)
+    absorbing = {s for s in model.states() if model.is_absorbing(s)}
+    assert len(absorbing) == 32
+    assert solve_ce(model, Objective.mean_payoff(model)).converged
+    assert updated and not absorbing & set(updated)
+
+    updated.clear()
+    model, labels = relabelled(*generate("dicerace", target=8), 3)
+    value1, value0 = qualitative_reach(model, labels["goal"])
+    assert len(value1) > 1 and len(value0) > 1
+    assert solve_ce(model, Objective.reachability(labels["goal"])).converged
+    assert updated and not (value1 | value0) & set(updated)
+
+
+def test_near_one_self_loop_is_an_end_component():
+    # Its probability is within the model's tolerance of 1, so the state is
+    # no Dirac self-loop and not pinned, yet its action stays inside it: a
+    # one-state MEC, whose tracker settles it.  Plain updates barely move it.
+    loop = dist((1, 1 - 5e-13))
+    assert not loop.is_self_loop(1)
+    model = build_game([MAX, MAX, MAX], [(dist((1, 0.5), (2, 0.5)),), (loop,), (dirac(2),)],
+                       [0.0, 3.0, 1.0], 0)
+    result = solve_ce(model, Objective.mean_payoff(model), max_sweeps=100)
+    assert result.converged
+    assert result.stats["end_components"] == result.stats["settled_whole"] == 1
+    assert result.lower - 1e-12 <= 2.0 <= result.upper + 1e-12
+
+
+def test_components_that_start_within_epsilon_get_no_tracker(monkeypatch):
+    # State 0 is a one-state MEC (stay for 4 or move to the absorbing 5);
+    # bounds that start within epsilon of its value 5 resolve it unvisited.
+    made = counting_trackers(monkeypatch)
+    model = build_game([MAX, MAX], [(dirac(0), dirac(1)), (dirac(1),)], [4.0, 5.0], 0)
+    epsilon = 1e-6
+    start = BoundsVector([5.0 - epsilon / 4] * 2, [5.0 + epsilon / 4] * 2)
+    result = solve_ce(model, Objective.mean_payoff(model), epsilon=epsilon, initial_bounds=start)
+    assert result.converged and result.iterations == 1
+    assert made == [] and result.stats["end_components"] == 0
+    assert (result.lower, result.upper) == (5.0 - epsilon / 4, 5.0 + epsilon / 4)
 
 
 @pytest.mark.parametrize("order_a, order_b", [(0, 0), (0, 1), (1, 0), (1, 1)])

@@ -156,6 +156,68 @@ class TestMecDecompose:
             assert tuple(per_scc) == mec_decompose(model).mecs
 
 
+def plain_mecs(model, restrict_to):
+    """Reference MEC refinement that runs Tarjan's algorithm on every
+    candidate, also on one already known to be strongly connected."""
+    mecs = []
+    worklist = [{s: tuple(range(model.num_actions(s))) for s in sorted(restrict_to)}]
+    while worklist:
+        candidate = worklist.pop()
+        pruned = {}
+        for s, acts in candidate.items():
+            kept = tuple(
+                a for a in acts
+                if all(t in candidate for t, _ in model.distribution(s, a).support)
+            )
+            if kept:
+                pruned[s] = kept
+        if not pruned:
+            continue
+        components = scc_decompose(model, pruned, pruned.__getitem__)
+        if pruned == candidate and len(components) == 1:
+            mecs.append(EndComponent.of(pruned, pruned))
+            continue
+        worklist.extend({s: pruned[s] for s in comp} for comp in components)
+    return sorted(mecs, key=lambda ec: min(ec.states))
+
+
+def pruned_edge_game():
+    """Maximizer states 0, 1, 2 and the absorbing 3: 0 moves to 1; 1 moves
+    to 2 or 3 with probability 1/2 each, or to 0; 2 moves to 0."""
+    return build_game(
+        [MAX, MAX, MAX, MAX],
+        [(dirac(1),), (dist((2, 0.5), (3, 0.5)), dirac(0)), (dirac(0),), (dirac(3),)],
+        [0.0] * 4,
+        0,
+    )
+
+
+class TestKnownScc:
+    def test_pruning_an_inner_edge_forces_a_search(self):
+        # Pruning keeps an action at every state of the SCC {0, 1, 2} but
+        # drops its only edge 1 -> 2, so 2 is in no MEC.
+        model = pruned_edge_game()
+        assert scc_decompose(model) == [[3], [0, 1, 2]]
+        (mec,) = mec_decompose(model, [0, 1, 2], strongly_connected=True).mecs
+        assert mec == EndComponent.of([0, 1], {0: (0,), 1: (1,)})
+        assert [ec.states for ec in mec_decompose(model).mecs] == [{0, 1}, {3}]
+
+    def test_equals_a_search_at_every_level(self, rng):
+        games = [random_game(rng, max_states=8) for _ in range(200)]
+        for family, params in (
+            ("treemulsec", {"n": 4}),
+            ("treebigmec", {"n": 3}),
+            ("dicerace", {"target": 8}),
+            ("fig2chain", {"k": 3}),
+        ):
+            games.append(relabelled(*generate(family, **params), 5)[0])
+        for model in games:
+            assert list(mec_decompose(model).mecs) == plain_mecs(model, model.states())
+            for component in scc_decompose(model):
+                known = mec_decompose(model, component, strongly_connected=True)
+                assert list(known.mecs) == plain_mecs(model, component)
+
+
 class TestAttractor:
     def test_sure_mode(self):
         m = cycle_model()
