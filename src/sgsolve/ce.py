@@ -25,8 +25,9 @@ The MECs are searched for in the SCCs of the one Tarjan pass over the
 game that orders the components.  Each SCC is handed to
 ``graph.mec_decompose`` as known to be strongly connected, so one that
 pruning its leaving actions leaves whole, with every inner edge, is
-confirmed as a MEC without a Tarjan pass of its own, and a one-state SCC
-without an action that stays in it is not searched at all.
+confirmed as a MEC without a Tarjan pass of its own, and an SCC in which
+no action of any state stays inside is not searched at all: the search's
+pruning would drop every action of it, so it holds no MEC.
 
 Two things settle an end component in one go where that is sound.
 Under mean payoff every absorbing state is pinned to ``[reward,
@@ -62,6 +63,19 @@ from .result import SolveResult
 Instrument = Callable[[int, GameModel, BoundsVector], None]
 
 DEFAULT_MAX_SWEEPS = 10_000_000
+
+
+def _some_action_stays(model: GameModel, states: list[int]) -> bool:
+    """Whether an action of one of ``states`` has its whole support among them."""
+    inside = set(states)
+    for s in states:
+        for dist in model.actions[s]:
+            for t, _ in dist.support:
+                if t not in inside:
+                    break
+            else:
+                return True
+    return False
 
 
 def solve_ce(
@@ -152,11 +166,12 @@ def solve_ce(
     trackers: list[list[MecTracker]] = [[] for _ in components]
     if enable_deflation:
         # A MEC lies inside one SCC, so a search per SCC, which needs no
-        # Tarjan of its own, finds them all.  A one-state SCC holds one only
-        # if an action stays in it, the test the search's pruning makes.
+        # Tarjan of its own, finds them all.  An SCC holds one only if an
+        # action of one of its states stays in it, the first test the
+        # search's pruning makes.
         for i in pending:
             c = components[i]
-            if len(c) > 1 or any(all(t in c for t, _ in d.support) for d in work.actions[c[0]]):
+            if _some_action_stays(work, c):
                 trackers[i] = [
                     MecTracker(mec, working_objective, epsilon)
                     for mec in mec_decompose(work, c, strongly_connected=True).mecs

@@ -417,11 +417,16 @@ def best_exit(
     for s in sorted(states):
         if model.owner(s) is not candidate.beneficiary:
             continue
-        for a in range(model.num_actions(s)):
-            dist = model.distribution(s, a)
-            if all(t in states for t, _ in dist.support):
+        for a, dist in enumerate(model.actions[s]):
+            support = dist.support
+            for t, _ in support:
+                if t not in states:
+                    break
+            else:
                 continue
-            value = sum(p * reference[t] for t, p in dist.support)
+            value = 0
+            for t, p in support:
+                value += p * reference[t]
             if best is None or (value > best if maximize else value < best):
                 best = value
                 exits = [(s, a)]

@@ -104,6 +104,10 @@ def parse(text: str) -> tuple[GameModel, dict[str, frozenset[int]]]:
     num_states = _expect_int(parts[1], number, "state count")
     if num_states < 1:
         _fail(number, "state count must be positive")
+    # Every state needs a line of its own, so a larger count cannot be
+    # right; rejecting it here keeps the per-state lists below small.
+    if num_states > len(lines.raw):
+        _fail(number, f"state count {num_states} exceeds the document's {len(lines.raw)} lines")
 
     item = lines.next()
     if item is None:

@@ -8,7 +8,7 @@ generated models can have paths far deeper than the interpreter stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .model import GameModel, Player
 
@@ -39,30 +39,26 @@ class MecDecomposition:
     mecs: tuple[EndComponent, ...]
 
 
-def _edges(
-    model: GameModel,
-    state: int,
-    restrict: Optional[frozenset[int]],
-    allowed: Optional[ActionFilter],
-) -> set[int]:
-    actions = range(model.num_actions(state)) if allowed is None else allowed(state)
-    out: set[int] = set()
-    for a in actions:
-        for t, _ in model.distribution(state, a).support:
-            if restrict is None or t in restrict:
-                out.add(t)
-    return out
-
-
 def scc_decompose(
     model: GameModel,
     restrict_to: Optional[Iterable[int]] = None,
     allowed_actions: Optional[ActionFilter] = None,
 ) -> list[list[int]]:
     """Tarjan's algorithm, iterative.  Returns SCCs in reverse topological
-    order (components without outgoing edges first)."""
+    order (components without outgoing edges first), each sorted."""
     restrict = None if restrict_to is None else frozenset(restrict_to)
     vertices = sorted(restrict) if restrict is not None else list(model.states())
+    actions = model.actions
+
+    def successors(v: int) -> Iterator[int]:
+        dists = actions[v]
+        if allowed_actions is None:
+            out = {t for d in dists for t, _ in d.support}
+        else:
+            out = {t for a in allowed_actions(v) for t, _ in dists[a].support}
+        if restrict is not None:
+            out &= restrict
+        return iter(sorted(out))
 
     index: dict[int, int] = {}
     lowlink: dict[int, int] = {}
@@ -74,44 +70,41 @@ def scc_decompose(
     for root in vertices:
         if root in index:
             continue
-        # Each work item is (vertex, iterator over its successors).
-        work: list[tuple[int, Iterable[int]]] = []
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
         on_stack.add(root)
-        work.append((root, iter(sorted(_edges(model, root, restrict, allowed_actions)))))
+        # Each work item is (vertex, iterator over its successors).
+        work: list[tuple[int, Iterator[int]]] = [(root, successors(root))]
         while work:
-            v, successors = work[-1]
-            advanced = False
-            for w in successors:
+            v, succ = work[-1]
+            for w in succ:
                 if w not in index:
                     index[w] = lowlink[w] = counter
                     counter += 1
                     stack.append(w)
                     on_stack.add(w)
-                    work.append(
-                        (w, iter(sorted(_edges(model, w, restrict, allowed_actions))))
-                    )
-                    advanced = True
+                    work.append((w, successors(w)))
                     break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                component: list[int] = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(component))
+                if w in on_stack and index[w] < lowlink[v]:
+                    lowlink[v] = index[w]
+            else:
+                work.pop()
+                low = lowlink[v]
+                if work:
+                    parent = work[-1][0]
+                    if low < lowlink[parent]:
+                        lowlink[parent] = low
+                if low == index[v]:
+                    component: list[int] = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        component.append(w)
+                        if w == v:
+                            break
+                    component.sort()
+                    sccs.append(component)
     return sccs
 
 
@@ -221,10 +214,30 @@ def _closure(preds: Sequence[set[int]], seed: Iterable[int], joins: Callable) ->
     return inside
 
 
-def _chooses(model: GameModel, state: int, player: Optional[Player], good: Callable) -> bool:
-    """Some action's support is ``good`` if ``player`` owns ``state``; else every one."""
-    quantifier = any if model.owner(state) is player else all
-    return quantifier(good(d.support) for d in model.actions[state])
+def _chooses(
+    model: GameModel, state: int, player: Optional[Player], good: Callable, inside: Container[int]
+) -> bool:
+    """Some action's support is ``good(support, inside)`` if ``player`` owns
+    ``state``; else every one."""
+    some = model.owners[state] is player
+    for d in model.actions[state]:
+        if good(d.support, inside) == some:
+            return some
+    return not some
+
+
+def _all_in(support, inside: Container[int]) -> bool:
+    for t, _ in support:
+        if t not in inside:
+            return False
+    return True
+
+
+def _any_in(support, inside: Container[int]) -> bool:
+    for t, _ in support:
+        if t in inside:
+            return True
+    return False
 
 
 def attractor(
@@ -247,7 +260,7 @@ def attractor(
     _check_ids(model, target)
 
     def sure(s: int, inside: set[int]) -> bool:
-        return _chooses(model, s, player, lambda sup: all(t in inside for t, _ in sup))
+        return _chooses(model, s, player, _all_in, inside)
 
     return frozenset(_closure(_predecessors(model), target, sure))
 
@@ -276,21 +289,25 @@ def qualitative_reach(
     # Value 0 is the complement of positive reach: the goal is hit with
     # positive probability against every Minimizer strategy.
     def positive(s: int, inside: set[int]) -> bool:
-        return s not in unsafe and _chooses(
-            model, s, Player.MAXIMIZER, lambda sup: any(t in inside for t, _ in sup)
-        )
+        return s not in unsafe and _chooses(model, s, Player.MAXIMIZER, _any_in, inside)
 
     # Within a component, the outer set shrinks to the region Maximizer
     # never has to leave but for the settled value-1 set, and the inner set
     # grows from the goal through actions that stay in the outer or the
     # settled set and make progress into the inner or the settled set.
-    def progress(s: int, inner: Container[int]) -> bool:
-        def good(sup) -> bool:
-            return all(t in outer or t in value1 for t, _ in sup) and any(
-                t in inner or t in value1 for t, _ in sup
-            )
+    def good(sup, inner: Container[int]) -> bool:
+        hit = False
+        for t, _ in sup:
+            if t in value1:
+                hit = True
+            elif t not in outer:
+                return False
+            elif t in inner:
+                hit = True
+        return hit
 
-        return s in outer and _chooses(model, s, Player.MAXIMIZER, good)
+    def progress(s: int, inner: Container[int]) -> bool:
+        return s in outer and _chooses(model, s, Player.MAXIMIZER, good, inner)
 
     value1: set[int] = set()
     for component in scc_decompose(model):

@@ -1,8 +1,20 @@
 """Bound vectors, the guarded Bellman update and action selection."""
 
+import functools
+import operator
+
 import pytest
 
-from conftest import MAX, MIN, loop_exit_model, split_value_mec_model
+from conftest import (
+    MAX,
+    MIN,
+    dirac,
+    dist,
+    loop_exit_model,
+    random_game,
+    relabelled,
+    split_value_mec_model,
+)
 from sgsolve.bounds import (
     BoundsVector,
     converged,
@@ -11,6 +23,12 @@ from sgsolve.bounds import (
     optimal_actions,
     state_update,
 )
+from sgsolve.ce import solve_ce
+from sgsolve.ecsolve import SecCandidate, best_exit
+from sgsolve.generators import generate
+from sgsolve.graph import EndComponent
+from sgsolve.model import build_game
+from sgsolve.objectives import Objective
 
 
 def test_bounds_vector_basics():
@@ -86,3 +104,100 @@ def test_converged_rejects_bad_epsilon():
 def test_midpoint():
     b = BoundsVector([1.0], [3.0])
     assert midpoint(b, 0) == 2.0
+
+
+def left_fold(dist, x) -> float:
+    """The expectation of ``x`` under ``dist``, summed from 0 left to right."""
+    return functools.reduce(operator.add, [p * x[t] for t, p in dist.support], 0)
+
+
+def reference_update(model, bounds, s) -> tuple[float, float]:
+    pick = max if model.owners[s] is MAX else min
+    best_u = pick(left_fold(d, bounds.ub) for d in model.actions[s])
+    best_l = pick(left_fold(d, bounds.lb) for d in model.actions[s])
+    ub = max(best_u, bounds.lb[s]) if best_u < bounds.ub[s] else bounds.ub[s]
+    lb = min(best_l, ub) if best_l > bounds.lb[s] else bounds.lb[s]
+    return lb, ub
+
+
+def reference_best_exit(model, candidate, bounds, objective):
+    maximize = candidate.beneficiary is MAX
+    reference = bounds.ub if maximize else bounds.lb
+    states = candidate.ec.states
+    values = {
+        (s, a): left_fold(d, reference)
+        for s in sorted(states)
+        if model.owners[s] is candidate.beneficiary
+        for a, d in enumerate(model.actions[s])
+        if any(t not in states for t, _ in d.support)
+    }
+    if not values:
+        return (objective.value_floor() if maximize else objective.value_ceiling()), []
+    best = (max if maximize else min)(values.values())
+    return best, [e for e, v in values.items() if v == best]
+
+
+def sound_bounds(model, objective, rng) -> BoundsVector:
+    """CE's final bounds, each widened towards the objective's range at
+    random or kept."""
+    final = solve_ce(model, objective).bounds
+    lo, hi = objective.value_floor(), objective.value_ceiling()
+    return BoundsVector(
+        [rng.choice([l, rng.uniform(lo, l)]) for l in map(float, final.lb)],
+        [rng.choice([u, rng.uniform(u, hi)]) for u in map(float, final.ub)],
+    )
+
+
+def kernel_instances(rng):
+    for _ in range(60):
+        model = random_game(rng, max_states=rng.choice([8, 30]))
+        yield model, Objective.mean_payoff(model)
+    model, labels = relabelled(*generate("dicerace", target=8), 5)
+    yield model, Objective.reachability(labels["goal"])
+    model, _ = relabelled(*generate("treemulsec", n=4), 5)
+    yield model, Objective.mean_payoff(model)
+
+
+def test_kernels_sum_each_support_left_to_right(rng):
+    # A test-local left fold pins the summation order bit for bit; ``sum``
+    # itself compensates float rounding from Python 3.12.
+    for model, objective in kernel_instances(rng):
+        bounds = sound_bounds(model, objective, rng)
+        for s in model.states():
+            updated = bounds.copy()
+            state_update(model, updated, s)
+            lb, ub = reference_update(model, bounds, s)
+            assert (updated.lb[s].hex(), updated.ub[s].hex()) == (lb.hex(), ub.hex())
+            for x in (bounds.lb, bounds.ub):
+                values = [left_fold(d, x) for d in model.actions[s]]
+                best = (max if model.owners[s] is MAX else min)(values)
+                for tolerance in (0.0, 1e-9):
+                    expected = tuple(a for a, v in enumerate(values) if abs(v - best) <= tolerance)
+                    assert optimal_actions(model, x, s, tolerance) == expected
+        n = model.num_states
+        for states in [frozenset(rng.sample(range(n), rng.randint(1, min(4, n)))) for _ in range(10)]:
+            for player in (MAX, MIN):
+                candidate = SecCandidate(EndComponent.of(states, {}), player)
+                value, exits = best_exit(model, candidate, bounds, objective)
+                expected, expected_exits = reference_best_exit(model, candidate, bounds, objective)
+                assert (float(value).hex(), exits) == (float(expected).hex(), expected_exits)
+
+
+def test_a_tie_under_the_left_fold_stays_a_tie():
+    # Action 0 is worth 0.5 + 0.75 ulp(0.5) exactly.  Summed left to right
+    # each small product rounds away and it ties with action 1's 0.5; summed
+    # in any other order (or compensated) it beats it by one ulp.
+    tiny = 3 * 2.0**-54
+    model = build_game(
+        [MAX] * 5,
+        [(dist((1, 0.5), (2, 0.25), (3, 0.25)), dirac(4))] + [(dirac(s),) for s in range(1, 5)],
+        [0.0] * 5,
+        0,
+    )
+    x = [1.0, 1.0, tiny, tiny, 0.5]
+    assert optimal_actions(model, x, 0) == (0, 1)
+    candidate = SecCandidate(EndComponent.of([0], {}), MAX)
+    bounds = BoundsVector([0.0] * 5, x)
+    assert best_exit(model, candidate, bounds, Objective.mean_payoff(model)) == (0.5, [(0, 0), (0, 1)])
+    state_update(model, bounds, 0)
+    assert bounds.ub[0] == 0.5

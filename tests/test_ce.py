@@ -583,6 +583,27 @@ def test_mecs_are_confirmed_from_the_components_of_the_solve(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("kind", ["reach", "mean-payoff"])
+def test_components_where_nothing_stays_are_not_searched(monkeypatch, kind):
+    # Every SCC of dicerace but its absorbing sinks, which start closed, is
+    # left by each of its actions with positive probability, so none holds
+    # an end component.
+    model, labels = relabelled(*generate("dicerace", target=8), 5)
+    calls = []
+    real = graph.mec_decompose
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr("sgsolve.ce.mec_decompose", counted)
+    objective = (
+        Objective.reachability(labels["goal"]) if kind == "reach" else Objective.mean_payoff(model)
+    )
+    assert solve_ce(model, objective).converged
+    assert calls == []
+
+
 def updated_states(monkeypatch) -> list[int]:
     """List every state that CE's ``state_update`` is called on."""
     states = []

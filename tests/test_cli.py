@@ -96,6 +96,15 @@ def test_non_finite_reward_is_input_error(tmp_path, capsys):
     assert "reward must be finite" in capsys.readouterr().err
 
 
+def test_huge_state_count_is_input_error(tmp_path, capsys):
+    path = tmp_path / "huge.sg"
+    path.write_text("sg-explicit 1\nstates 9223372036854775808\ninitial 0\n")
+    code = run(["--model", str(path), "--goal", "goal"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2") and "Traceback" not in err
+
+
 def test_nan_precision_is_usage_error(capsys):
     code = run(["--generate", "fig2chain", "--param", "k=2", "--goal", "goal",
                 "--mode", "ce", "--precision", "nan", "--max-iterations", "10"])

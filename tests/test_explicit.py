@@ -175,6 +175,16 @@ def test_round_trip_is_identity_on_random_games(seed):
             "action -> 0:1.0\nlabel g = {1}\n",
             "line 6, column 1: label state 1 out of range",
         ),
+        # A count above the line count is rejected before anything is
+        # allocated for it, also one beyond a machine word.
+        (
+            "sg-explicit 1\nstates 5\ninitial 0\nstate 0 MAX reward=0\n",
+            "line 2, column 1: state count 5 exceeds the document's 4 lines",
+        ),
+        (
+            "sg-explicit 1\nstates 9223372036854775808\ninitial 0\n",
+            "line 2, column 1: state count 9223372036854775808 exceeds",
+        ),
         # Errors found after the last line report the last line.
         (
             "sg-explicit 1\nstates 2\ninitial 0\nstate 0 MAX reward=0\n"

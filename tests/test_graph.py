@@ -57,6 +57,37 @@ class TestScc:
         sccs = scc_decompose(m, allowed_actions=lambda s: [1] if s == 1 else [0])
         assert [0] in sccs and [1] in sccs
 
+    def test_matches_networkx_on_random_models(self, rng):
+        for _ in range(150):
+            m = random_game(rng, max_states=rng.choice([8, 30]))
+            subset = rng.sample(range(m.num_states), rng.randint(1, m.num_states))
+            allowed = {
+                s: sorted(rng.sample(range(m.num_actions(s)), rng.randint(1, m.num_actions(s))))
+                for s in m.states()
+            }
+            for restrict, acts in ((None, None), (subset, None), (None, allowed)):
+                vertices = set(m.states()) if restrict is None else set(restrict)
+                graph = nx.DiGraph()
+                graph.add_nodes_from(vertices)
+                for s in vertices:
+                    for a in range(m.num_actions(s)) if acts is None else acts[s]:
+                        graph.add_edges_from(
+                            (s, t) for t, _ in m.distribution(s, a).support if t in vertices
+                        )
+                sccs = scc_decompose(
+                    m, restrict_to=restrict,
+                    allowed_actions=None if acts is None else acts.__getitem__,
+                )
+                assert len(sccs) == len({frozenset(c) for c in sccs})
+                assert {frozenset(c) for c in sccs} == {
+                    frozenset(c) for c in nx.strongly_connected_components(graph)
+                }
+                assert all(c == sorted(c) for c in sccs)
+                # Reverse topological order: every edge leads to the same or
+                # an earlier component.
+                position = {s: i for i, c in enumerate(sccs) for s in c}
+                assert all(position[t] <= position[s] for s, t in graph.edges)
+
 
 def brute_force_mecs(model):
     """Reference MEC enumeration: check every state subset for closedness
