@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .model import GameModel, Player
+from .model import MAXIMIZER, GameModel, Player
 
 
 @dataclass
@@ -40,14 +40,18 @@ def state_update(model: GameModel, bounds: BoundsVector, state: int) -> None:
 
     Each bound moves to the owner's optimal one-step expectation under
     itself, but only if that tightens it, and never past the other bound.
-    Sound bounds stay sound.
+    Sound bounds stay sound.  The clip to the other bound is two
+    comparisons that select what ``max(best_u, lb)`` and ``min(best_l,
+    ub)`` select: the first argument unless the second is strictly
+    beyond it, so a tie (``0.0`` against ``-0.0`` included) keeps the
+    one-step optimum.
 
     Both expectations of an action are summed in one pass over its
     support, from 0, left to right: the same bits as ``sum`` up to
     Python 3.11.  From 3.12 ``sum`` compensates float rounding, so there
     the bits can differ from a ``sum`` of the same products."""
     lb, ub = bounds.lb, bounds.ub
-    maximize = model.owners[state] is Player.MAXIMIZER
+    maximize = model.owners[state] is MAXIMIZER
     best_u = best_l = None
     for dist in model.actions[state]:
         u = l = 0
@@ -67,9 +71,11 @@ def state_update(model: GameModel, bounds: BoundsVector, state: int) -> None:
             if l < best_l:
                 best_l = l
     if best_u < ub[state]:
-        ub[state] = max(best_u, lb[state])
+        low = lb[state]
+        ub[state] = low if low > best_u else best_u
     if best_l > lb[state]:
-        lb[state] = min(best_l, ub[state])
+        high = ub[state]
+        lb[state] = high if high < best_l else best_l
 
 
 def optimal_actions(
@@ -84,7 +90,7 @@ def optimal_actions(
     A positive tolerance keeps near-ties: while the bounds are still far
     from the value, differences much smaller than the remaining gap are
     numerical noise and must not be allowed to exclude actions."""
-    maximize = model.owner(state) is Player.MAXIMIZER
+    maximize = model.owners[state] is MAXIMIZER
     values = []
     for dist in model.actions[state]:
         v = 0
@@ -92,15 +98,17 @@ def optimal_actions(
             v += p * x[t]
         values.append(v)
     best = max(values) if maximize else min(values)
-    return tuple(
-        a for a, v in enumerate(values) if abs(v - best) <= tolerance
-    )
+    chosen = []
+    for a, v in enumerate(values):
+        if abs(v - best) <= tolerance:
+            chosen.append(a)
+    return tuple(chosen)
 
 
 def extract_strategy(model: GameModel, bounds: BoundsVector, player: Player) -> Strategy:
     """Witness strategy: argmax on lb for Maximizer, argmin on ub for
     Minimizer; ties broken by lowest action index."""
-    reference = bounds.lb if player is Player.MAXIMIZER else bounds.ub
+    reference = bounds.lb if player is MAXIMIZER else bounds.ub
     choice: list[Optional[int]] = []
     for s in model.states():
         if model.owner(s) is player:

@@ -21,6 +21,13 @@ goal, avoid or qualitatively pinned state under reachability) is resolved
 before the first pass and never visited at all, and a solve whose initial
 state starts converged runs no pass.
 
+The solve stops as soon as the initial state has converged.  That is
+checked when the component that holds it has had its rounds of a pass,
+and at no other component.  This is exact: a Bellman update writes the
+bounds of the one state it updates, and a tracker those of its MEC's
+states, which lie in the tracker's own component, so no other
+component's round can move the initial state's bounds.
+
 The MECs are searched for in the SCCs of the one Tarjan pass over the
 game that orders the components.  Each SCC is handed to
 ``graph.mec_decompose`` as known to be strongly connected, so one that
@@ -76,6 +83,18 @@ def _some_action_stays(model: GameModel, states: list[int]) -> bool:
             else:
                 return True
     return False
+
+
+def _widest_gap(lb: list[float], ub: list[float], states: list[int]) -> float:
+    """The widest gap ``ub[s] - lb[s]`` over the non-empty ``states``: the
+    one ``max`` of the gaps picks, the first of equal ones."""
+    first = states[0]
+    widest = ub[first] - lb[first]
+    for s in states:
+        gap = ub[s] - lb[s]
+        if gap > widest:
+            widest = gap
+    return widest
 
 
 def solve_ce(
@@ -161,7 +180,7 @@ def solve_ce(
     # the first pass, with no tracker; its initialization counts as its
     # one round.
     pending = [
-        i for i, states in enumerate(components) if any(ub[s] - lb[s] > epsilon for s in states)
+        i for i, states in enumerate(components) if _widest_gap(lb, ub, states) > epsilon
     ]
     trackers: list[list[MecTracker]] = [[] for _ in components]
     if enable_deflation:
@@ -180,6 +199,8 @@ def solve_ce(
     made = [tracker for group in trackers for tracker in group]
 
     start = model.initial
+    # Only the rounds of this component can change ``done``.
+    home = next(i for i, states in enumerate(components) if start in states)
     rounds = [0] * len(components)
     iterations = 1 if len(pending) < len(components) else 0
     done = converged(bounds, start, epsilon)
@@ -187,7 +208,7 @@ def solve_ce(
         unresolved = []
         for i in pending:
             states = components[i]
-            widest = max(ub[s] - lb[s] for s in states)
+            widest = _widest_gap(lb, ub, states)
             while rounds[i] < max_sweeps:
                 rounds[i] += 1
                 for s in states:
@@ -196,20 +217,22 @@ def solve_ce(
                 for tracker in trackers[i]:
                     if not tracker.settled(bounds):
                         tracker.process(work, bounds)
-                last, widest = widest, max(ub[s] - lb[s] for s in states)
+                last, widest = widest, _widest_gap(lb, ub, states)
                 if widest <= epsilon or (len(states) == 1 and not trackers[i]):
                     break
                 # An infinite gap never halves.
                 if not widest <= 0.5 * last < last:
                     break
-            iterations = max(iterations, rounds[i])
+            if rounds[i] > iterations:
+                iterations = rounds[i]
             if widest > epsilon and rounds[i] < max_sweeps:
                 unresolved.append(i)
             else:
                 trackers[i] = []
-            done = converged(bounds, start, epsilon)
-            if done:
-                break
+            if i == home:
+                done = converged(bounds, start, epsilon)
+                if done:
+                    break
         pending = unresolved
         if instrument is not None:
             instrument(iterations, work, bounds)

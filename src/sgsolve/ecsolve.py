@@ -46,7 +46,7 @@ from typing import Callable, Optional
 
 from .bounds import BoundsVector, optimal_actions
 from .graph import EndComponent, mec_decompose
-from .model import GameModel, Player
+from .model import MAXIMIZER, MINIMIZER, GameModel, Player
 from .objectives import Objective, ObjectiveKind
 
 
@@ -76,7 +76,7 @@ def _candidates_in(
     opponent = beneficiary.opponent
 
     def allowed(state: int):
-        if model.owner(state) is opponent:
+        if model.owners[state] is opponent:
             return opponent_actions[state]
         return range(model.num_actions(state))
 
@@ -109,7 +109,7 @@ def sec_candidates(
     if all(
         set(internal[s]) <= set(opponent_optimal[s])
         for s in game_mec.states
-        if model.owner(s) is opponent
+        if model.owners[s] is opponent
     ):
         return [SecCandidate(game_mec, beneficiary)]
     return _candidates_in(model, game_mec.states, beneficiary, opponent_optimal)
@@ -186,33 +186,32 @@ class _StayingIteration:
 
     @staticmethod
     def compile(model: GameModel, ec: EndComponent) -> "_StayingIteration":
-        members = sorted(ec.states)
+        # ``ec.actions`` lists the states in ascending order.
+        members = [s for s, _ in ec.actions]
         index = {s: i for i, s in enumerate(members)}
-        amap = ec.action_map()
+        rewards: list[float] = []
         choose: list[Optional[Callable[[list[float]], float]]] = []
         starts: list[int] = []
         ends: list[int] = []
         actions = []
-        for s in members:
-            if len(amap[s]) == 1:
+        for s, acts in ec.actions:
+            rewards.append(model.rewards[s])
+            if len(acts) == 1:
                 choose.append(None)
             else:
-                choose.append(max if model.owner(s) is Player.MAXIMIZER else min)
+                choose.append(max if model.owners[s] is MAXIMIZER else min)
             starts.append(len(actions))
-            for a in amap[s]:
-                support = model.distribution(s, a).support
-                actions.append(
-                    (tuple(index[t] for t, _ in support), tuple(p for _, p in support))
-                )
+            dists = model.actions[s]
+            for a in acts:
+                targets = []
+                probs = []
+                for t, p in dists[a].support:
+                    targets.append(index[t])
+                    probs.append(p)
+                actions.append((tuple(targets), tuple(probs)))
             ends.append(len(actions))
         return _StayingIteration(
-            members,
-            [model.rewards[s] for s in members],
-            choose,
-            starts,
-            ends,
-            actions,
-            [0.0] * len(members),
+            members, rewards, choose, starts, ends, actions, [0.0] * len(members)
         )
 
     def step(self) -> None:
@@ -409,13 +408,13 @@ def best_exit(
     worst bound is returned (value floor for Maximizer, ceiling for
     Minimizer).
     """
-    maximize = candidate.beneficiary is Player.MAXIMIZER
+    maximize = candidate.beneficiary is MAXIMIZER
     reference = bounds.ub if maximize else bounds.lb
     states = candidate.ec.states
     best: Optional[float] = None
     exits: list[tuple[int, int]] = []
     for s in sorted(states):
-        if model.owner(s) is not candidate.beneficiary:
+        if model.owners[s] is not candidate.beneficiary:
             continue
         for a, dist in enumerate(model.actions[s]):
             support = dist.support
@@ -449,16 +448,22 @@ def deflate(
     """Lower the upper bound of a Maximizer-beneficiary candidate to the
     better of staying and the best exit.  Never increases any upper bound
     and never drops it below the lower bound."""
-    if candidate.beneficiary is not Player.MAXIMIZER:
+    if candidate.beneficiary is not MAXIMIZER:
         raise ValueError("deflate applies to Maximizer-beneficiary candidates")
     _, stay_high = staying_bounds(model, candidate, objective, precision, cache)
     exit_value, exits = best_exit(model, candidate, bounds, objective)
     ceiling = max(stay_high, exit_value)
     changed = False
+    lb, ub = bounds.lb, bounds.ub
     for s in candidate.ec.states:
-        new = max(min(bounds.ub[s], ceiling), bounds.lb[s])
-        if new < bounds.ub[s]:
-            bounds.ub[s] = new
+        # max(min(ub[s], ceiling), lb[s]), by the comparisons max and min make.
+        high = ub[s]
+        new = ceiling if ceiling < high else high
+        low = lb[s]
+        if low > new:
+            new = low
+        if new < high:
+            ub[s] = new
             changed = True
     return changed, exits
 
@@ -473,16 +478,22 @@ def inflate(
 ) -> tuple[bool, list[tuple[int, int]]]:
     """Dual of deflate: raise the lower bound of a Minimizer-beneficiary
     candidate to the better (for Minimizer) of staying and leaving."""
-    if candidate.beneficiary is not Player.MINIMIZER:
+    if candidate.beneficiary is not MINIMIZER:
         raise ValueError("inflate applies to Minimizer-beneficiary candidates")
     stay_low, _ = staying_bounds(model, candidate, objective, precision, cache)
     exit_value, exits = best_exit(model, candidate, bounds, objective)
     floor = min(stay_low, exit_value)
     changed = False
+    lb, ub = bounds.lb, bounds.ub
     for s in candidate.ec.states:
-        new = min(max(bounds.lb[s], floor), bounds.ub[s])
-        if new > bounds.lb[s]:
-            bounds.lb[s] = new
+        # min(max(lb[s], floor), ub[s]), by the comparisons min and max make.
+        low = lb[s]
+        new = floor if floor > low else low
+        high = ub[s]
+        if high < new:
+            new = high
+        if new > low:
+            lb[s] = new
             changed = True
     return changed, exits
 
@@ -581,10 +592,10 @@ class MecTracker:
         single_lb = {s: acts[:1] for s, acts in optimal_lb.items()}
         single_ub = {s: acts[:1] for s, acts in optimal_ub.items()}
         new = {}
-        for beneficiary in (Player.MAXIMIZER, Player.MINIMIZER):
+        for beneficiary in (MAXIMIZER, MINIMIZER):
             # The search reads the restriction on the opponent's states only,
             # so equal restrictions there yield the same candidates.
-            opponent = [s for s, _, _ in signature if model.owner(s) is beneficiary.opponent]
+            opponent = [s for s, _, _ in signature if model.owners[s] is beneficiary.opponent]
             searched: set[tuple] = set()
             # Insertion-ordered set: each candidate once, in order found.
             found: dict[SecCandidate, None] = {}
@@ -606,10 +617,12 @@ class MecTracker:
         precision asked for.  Gaps never widen, so a True answer is
         remembered and the bounds are not read again."""
         if not self._settled:
-            self._settled = all(
-                bounds.ub[s] - bounds.lb[s] <= self.epsilon for s in self.mec.states
-            )
-        return self._settled
+            lb, ub, epsilon = bounds.lb, bounds.ub, self.epsilon
+            for s in self.mec.states:
+                if not ub[s] - lb[s] <= epsilon:
+                    return False
+            self._settled = True
+        return True
 
     def _nothing_to_do(self, bounds: BoundsVector) -> bool:
         """Whether processing now would change nothing: the last call was
@@ -646,7 +659,7 @@ class MecTracker:
         """Deflate a Maximizer candidate or inflate a Minimizer one at the
         staying precision.  Returns whether a bound changed, the best exits
         and the candidate's staying iteration (None for reachability)."""
-        operate = deflate if candidate.beneficiary is Player.MAXIMIZER else inflate
+        operate = deflate if candidate.beneficiary is MAXIMIZER else inflate
         changed, exits = operate(
             model, candidate, bounds, self.objective, self.precision, self.staying_cache
         )
@@ -678,7 +691,7 @@ class MecTracker:
         used: list[Exit] = []
         quiet = True
         if self.candidates is None:  # the first call: the whole-MEC step
-            for beneficiary in (Player.MAXIMIZER, Player.MINIMIZER):
+            for beneficiary in (MAXIMIZER, MINIMIZER):
                 changed, exits, _ = self._operate(
                     model, SecCandidate(self.mec, beneficiary), bounds
                 )
@@ -691,7 +704,7 @@ class MecTracker:
             used = []
         self.refresh_candidates(model, bounds)
         assert self.candidates is not None
-        for beneficiary in (Player.MAXIMIZER, Player.MINIMIZER):
+        for beneficiary in (MAXIMIZER, MINIMIZER):
             worklist = list(self.candidates[beneficiary])
             seen = set(worklist)
             while worklist:

@@ -184,15 +184,15 @@ def parse(text: str) -> tuple[GameModel, dict[str, frozenset[int]]]:
             for token in tokens:
                 if not token:
                     _fail(number, "empty entry in label set")
-                if token.lstrip("-").isdigit():
-                    sid = int(token)
+                if token in labels:
+                    members |= labels[token]
+                elif _LABEL_NAME.match(token):
+                    _fail(number, f"undefined label reference {token!r}")
+                else:
+                    sid = _expect_int(token, number, "label state")
                     if not 0 <= sid < num_states:
                         _fail(number, f"label state {sid} out of range")
                     members.add(sid)
-                elif token in labels:
-                    members |= labels[token]
-                else:
-                    _fail(number, f"undefined label reference {token!r}")
             labels[name] = frozenset(members)
         else:
             _fail(number, f"unknown directive {keyword!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
-from .model import GameModel, Player
+from .model import MAXIMIZER, GameModel, Player
 
 ActionFilter = Callable[[int], Iterable[int]]
 
@@ -157,15 +157,31 @@ def mec_decompose(
         intact = True
         for s, acts in candidate.items():
             dists = model.actions[s]
-            kept = tuple(a for a in acts if all(t in candidate for t, _ in dists[a].support))
+            kept = []
+            for a in acts:
+                for t, _ in dists[a].support:
+                    if t not in candidate:
+                        break
+                else:
+                    kept.append(a)
             if not kept:
                 continue
-            pruned[s] = kept
-            if intact and len(kept) < len(acts):
-                reached = {t for a in kept for t, _ in dists[a].support}
-                intact = all(
-                    t in reached or t not in candidate for a in acts for t, _ in dists[a].support
-                )
+            if len(kept) == len(acts):
+                pruned[s] = acts
+                continue
+            pruned[s] = tuple(kept)
+            if intact:
+                reached = set()
+                for a in kept:
+                    for t, _ in dists[a].support:
+                        reached.add(t)
+                for a in acts:
+                    for t, _ in dists[a].support:
+                        if t not in reached and t in candidate:
+                            intact = False
+                            break
+                    if not intact:
+                        break
         if not pruned:
             continue
         # With every state kept, every kept action stays inside the remainder.
@@ -289,7 +305,7 @@ def qualitative_reach(
     # Value 0 is the complement of positive reach: the goal is hit with
     # positive probability against every Minimizer strategy.
     def positive(s: int, inside: set[int]) -> bool:
-        return s not in unsafe and _chooses(model, s, Player.MAXIMIZER, _any_in, inside)
+        return s not in unsafe and _chooses(model, s, MAXIMIZER, _any_in, inside)
 
     # Within a component, the outer set shrinks to the region Maximizer
     # never has to leave but for the settled value-1 set, and the inner set
@@ -307,7 +323,7 @@ def qualitative_reach(
         return hit
 
     def progress(s: int, inner: Container[int]) -> bool:
-        return s in outer and _chooses(model, s, Player.MAXIMIZER, good, inner)
+        return s in outer and _chooses(model, s, MAXIMIZER, good, inner)
 
     value1: set[int] = set()
     for component in scc_decompose(model):

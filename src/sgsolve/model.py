@@ -23,7 +23,13 @@ class Player(Enum):
 
     @property
     def opponent(self) -> "Player":
-        return Player.MINIMIZER if self is Player.MAXIMIZER else Player.MAXIMIZER
+        return MINIMIZER if self is MAXIMIZER else MAXIMIZER
+
+
+# Module-level aliases: a global name costs a fraction of an enum member
+# lookup, which the per-state kernels would otherwise pay on every call.
+MAXIMIZER = Player.MAXIMIZER
+MINIMIZER = Player.MINIMIZER
 
 
 class ModelError(Exception):
@@ -121,7 +127,10 @@ class GameModel:
         return self.actions[state][action]
 
     def is_absorbing(self, state: int) -> bool:
-        return all(d.is_self_loop(state) for d in self.actions[state])
+        for d in self.actions[state]:
+            if not d.is_self_loop(state):
+                return False
+        return True
 
     def reward_range(self) -> tuple[float, float]:
         return min(self.rewards), max(self.rewards)

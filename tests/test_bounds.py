@@ -24,7 +24,7 @@ from sgsolve.bounds import (
     state_update,
 )
 from sgsolve.ce import solve_ce
-from sgsolve.ecsolve import SecCandidate, best_exit
+from sgsolve.ecsolve import SecCandidate, best_exit, deflate, inflate, staying_bounds
 from sgsolve.generators import generate
 from sgsolve.graph import EndComponent
 from sgsolve.model import build_game
@@ -201,3 +201,76 @@ def test_a_tie_under_the_left_fold_stays_a_tie():
     assert best_exit(model, candidate, bounds, Objective.mean_payoff(model)) == (0.5, [(0, 0), (0, 1)])
     state_update(model, bounds, 0)
     assert bounds.ub[0] == 0.5
+
+
+# Bound values for the clip test: dyadic, so that one-step optima tie with
+# them exactly, and both zeros, so that a tie shows which argument won.
+CLIP_VALUES = [-1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0]
+
+
+def crossing_bounds(n, rng) -> BoundsVector:
+    """Independent draws from ``CLIP_VALUES``, ordered per state; a
+    one-step optimum often lands on or past the other bound."""
+    pairs = [sorted([rng.choice(CLIP_VALUES), rng.choice(CLIP_VALUES)]) for _ in range(n)]
+    return BoundsVector([lo for lo, _ in pairs], [hi for _, hi in pairs])
+
+
+def signed_tie(a: float, b: float) -> bool:
+    return a == b == 0.0 and str(a) != str(b)
+
+
+def test_clips_select_as_max_and_min_do(rng):
+    # Which clips fired, and how: past the other bound, on an exact tie,
+    # and on a tie of 0.0 with -0.0, where the two arguments differ in bits.
+    fired = dict.fromkeys(
+        ["ub past", "ub tie", "ub zeros", "lb past", "lb tie", "lb zeros",
+         "deflate zeros", "inflate zeros"], 0
+    )
+    for _ in range(150):
+        model = random_game(rng, max_states=rng.choice([4, 8]))
+        n = model.num_states
+        for _ in range(10):
+            bounds = crossing_bounds(n, rng)
+            for s in model.states():
+                updated = bounds.copy()
+                state_update(model, updated, s)
+                lb, ub = reference_update(model, bounds, s)
+                assert (updated.lb[s].hex(), updated.ub[s].hex()) == (lb.hex(), ub.hex())
+                pick = max if model.owners[s] is MAX else min
+                best_u = pick(left_fold(d, bounds.ub) for d in model.actions[s])
+                best_l = pick(left_fold(d, bounds.lb) for d in model.actions[s])
+                if best_u < bounds.ub[s]:
+                    low = bounds.lb[s]
+                    fired["ub past"] += low > best_u
+                    fired["ub tie"] += low == best_u
+                    fired["ub zeros"] += signed_tie(best_u, low)
+                if best_l > bounds.lb[s]:
+                    fired["lb past"] += ub < best_l
+                    fired["lb tie"] += ub == best_l
+                    fired["lb zeros"] += signed_tie(best_l, ub)
+            goal = frozenset(rng.sample(range(n), rng.randint(1, n)))
+            objective = Objective.reachability(goal)
+            states = frozenset(rng.sample(range(n), rng.randint(1, n)))
+            for player, operate in ((MAX, deflate), (MIN, inflate)):
+                candidate = SecCandidate(EndComponent.of(states, {}), player)
+                low, high = staying_bounds(model, candidate, objective, 1e-6)
+                exit_value, _ = best_exit(model, candidate, bounds, objective)
+                updated = bounds.copy()
+                operate(model, candidate, updated, objective, 1e-6)
+                for t in model.states():
+                    lb, ub = bounds.lb[t], bounds.ub[t]
+                    if t not in states:
+                        expected = (lb, ub)
+                    elif player is MAX:
+                        ceiling = max(high, exit_value)
+                        new = max(min(ub, ceiling), lb)
+                        expected = (lb, new if new < ub else ub)
+                        fired["deflate zeros"] += new < ub and signed_tie(min(ub, ceiling), lb)
+                    else:
+                        floor = min(low, exit_value)
+                        new = min(max(lb, floor), ub)
+                        expected = (new if new > lb else lb, ub)
+                        fired["inflate zeros"] += new > lb and signed_tie(max(lb, floor), ub)
+                    got = (updated.lb[t], updated.ub[t])
+                    assert [v.hex() for v in got] == [v.hex() for v in expected]
+    assert all(fired.values()), fired

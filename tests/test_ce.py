@@ -478,6 +478,35 @@ def test_absorbing_states_start_pinned_under_mean_payoff(monkeypatch, open_start
     assert result.lower - 1e-12 <= 6.5 <= result.upper + 1e-12
 
 
+def test_solve_stops_at_the_component_of_the_initial_state():
+    # 0 -> absorbing 1 (reward 2) converges in the component of 0, which the
+    # pass visits before the unreachable pair {2, 3}: the solve stops there.
+    # A check of the initial state only at the end of each pass would go
+    # on to process the pair's end component.
+    model = build_game(
+        [MAX, MAX, MAX, MIN],
+        [
+            (dirac(1),),
+            (dirac(1),),
+            (dirac(3), dist((2, 0.5), (1, 0.5))),
+            (dirac(2), dist((3, 0.9), (1, 0.1))),
+        ],
+        [0.0, 2.0, 7.0, 1.0],
+        0,
+    )
+    calls = []
+    result = solve_ce(
+        model, Objective.mean_payoff(model), instrument=lambda *args: calls.append(args[0])
+    )
+    assert (result.lower, result.upper) == (2.0, 2.0)
+    assert result.converged
+    assert result.iterations == 1
+    assert calls == [1]
+    assert [(result.bounds.lb[s], result.bounds.ub[s]) for s in (2, 3)] == [(0.0, 7.0)] * 2
+    assert result.stats["end_components"] == 1
+    assert result.stats["staying_steps"] == 0
+
+
 @pytest.mark.parametrize(
     "family, n",
     [("treebigmec", 5), ("treemulcomplmec", 6), ("treemulcomplsec", 6)],

@@ -105,6 +105,19 @@ def test_huge_state_count_is_input_error(tmp_path, capsys):
     assert err.startswith("error: line 2") and "Traceback" not in err
 
 
+def test_unreadable_label_id_is_input_error(tmp_path, capsys):
+    path = tmp_path / "label.sg"
+    path.write_text(
+        "sg-explicit 1\nstates 1\ninitial 0\nstate 0 MAX reward=0\n"
+        "action -> 0:1.0\nlabel goal = {\u00b2}\n",
+        encoding="utf-8",
+    )
+    code = run(["--model", str(path), "--goal", "goal"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 6") and "Traceback" not in err
+
+
 def test_nan_precision_is_usage_error(capsys):
     code = run(["--generate", "fig2chain", "--param", "k=2", "--goal", "goal",
                 "--mode", "ce", "--precision", "nan", "--max-iterations", "10"])

@@ -175,6 +175,23 @@ def test_round_trip_is_identity_on_random_games(seed):
             "action -> 0:1.0\nlabel g = {1}\n",
             "line 6, column 1: label state 1 out of range",
         ),
+        # A label id is an integer the way a target id is; a digit that
+        # int() does not read is a syntax error at its line.
+        (
+            "sg-explicit 1\nstates 1\ninitial 0\nstate 0 MAX reward=0\n"
+            "action -> 0:1.0\nlabel g = {\u00b2}\n",
+            "line 6, column 1: expected label state, got '\u00b2'",
+        ),
+        (
+            "sg-explicit 1\nstates 1\ninitial 0\nstate 0 MAX reward=0\n"
+            "action -> 0:1.0\nlabel g = {\u2460}\n",
+            "line 6, column 1: expected label state, got '\u2460'",
+        ),
+        (
+            "sg-explicit 1\nstates 1\ninitial 0\nstate 0 MAX reward=0\n"
+            "action -> 0:1.0\nlabel g = {--1}\n",
+            "line 6, column 1: expected label state, got '--1'",
+        ),
         # A count above the line count is rejected before anything is
         # allocated for it, also one beyond a machine word.
         (
