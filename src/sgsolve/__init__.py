@@ -10,7 +10,7 @@ from .bounds import BoundsVector, Strategy, converged, extract_strategy, midpoin
 from .ce import solve_ce
 from .explicit import ExplicitSyntaxError, parse, serialize
 from .generators import GENERATORS, ParameterOutOfRange, generate
-from .graph import EndComponent, MecDecomposition, attractor, mec_decompose, qualitative_reach
+from .graph import EndComponent, MecDecomposition, mec_decompose, qualitative_reach
 from .model import (
     Distribution,
     GameModel,
@@ -41,7 +41,6 @@ __all__ = [
     "Query",
     "SolveResult",
     "Strategy",
-    "attractor",
     "build_game",
     "converged",
     "extract_strategy",

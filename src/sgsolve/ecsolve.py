@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Callable, Optional
+from typing import Optional
 
 from .bounds import BoundsVector, optimal_actions
 from .graph import EndComponent, mec_decompose
@@ -134,14 +134,13 @@ DEPENDENT_PIVOT = 1e-10
 @dataclass
 class _StayingIteration:
     """The staying-value iteration of one end component, compiled once into
-    index lists so that a step reads no model structure.  Member ``i`` is
-    state ``members[i]`` and earns ``rewards[i]``; its internal actions are
-    ``actions[starts[i]:ends[i]]``, each a pair of parallel tuples (member
-    indices, probabilities) in distribution order, and ``choose[i]`` picks
-    its owner's best action value: ``max`` for Maximizer, ``min`` for
-    Minimizer, None when it has one action.  ``x`` and ``diffs`` (the last
-    step's differences) are indexed like ``members``; ``steps`` counts the
-    plain steps run.
+    one row per member so that a step reads no model structure.  Member
+    ``i`` is state ``members[i]``; its row ``rows[i]`` is ``(reward,
+    maximize, actions)``, where ``maximize`` tells whether Maximizer owns it
+    and each internal action is a tuple of ``(member index, probability)``
+    pairs in support order.  ``x`` and ``diffs`` (the last step's
+    differences) are indexed like ``members``; ``steps`` counts the plain
+    steps run.
 
     A step applies the operator ``T(x) = r + x/2 + opt(P x)/2`` of the game
     restricted to the internal actions, blended with a half self-loop so
@@ -169,11 +168,7 @@ class _StayingIteration:
     differences are those of a plain step either way."""
 
     members: list[int]
-    rewards: list[float]
-    choose: list[Optional[Callable[[list[float]], float]]]
-    starts: list[int]
-    ends: list[int]
-    actions: list[tuple[tuple[int, ...], tuple[float, ...]]]
+    rows: list[tuple[float, bool, tuple[tuple[tuple[int, float], ...], ...]]]
     x: list[float]
     lo: float = -math.inf
     hi: float = math.inf
@@ -189,50 +184,34 @@ class _StayingIteration:
         # ``ec.actions`` lists the states in ascending order.
         members = [s for s, _ in ec.actions]
         index = {s: i for i, s in enumerate(members)}
-        rewards: list[float] = []
-        choose: list[Optional[Callable[[list[float]], float]]] = []
-        starts: list[int] = []
-        ends: list[int] = []
-        actions = []
+        rows = []
         for s, acts in ec.actions:
-            rewards.append(model.rewards[s])
-            if len(acts) == 1:
-                choose.append(None)
-            else:
-                choose.append(max if model.owners[s] is MAXIMIZER else min)
-            starts.append(len(actions))
             dists = model.actions[s]
-            for a in acts:
-                targets = []
-                probs = []
-                for t, p in dists[a].support:
-                    targets.append(index[t])
-                    probs.append(p)
-                actions.append((tuple(targets), tuple(probs)))
-            ends.append(len(actions))
-        return _StayingIteration(
-            members, rewards, choose, starts, ends, actions, [0.0] * len(members)
-        )
+            actions = tuple(tuple((index[t], p) for t, p in dists[a].support) for a in acts)
+            rows.append((model.rewards[s], model.owners[s] is MAXIMIZER, actions))
+        return _StayingIteration(members, rows, [0.0] * len(members))
 
     def step(self) -> None:
         """One plain aperiodic Bellman step, its differences folded into
-        the bracket, then the iterates shifted so the first member is 0."""
+        the bracket, then the iterates shifted so the first member is 0.
+        Each action is summed from 0, left to right, and the first of equal
+        action values is kept, as ``max`` and ``min`` keep it."""
         x = self.x
-        at = x.__getitem__
-        # An action's value is sum() of its products in support order;
-        # for a single product v, sum() returns 0.0 + v.
-        values = [
-            0.0 + probs[0] * x[targets[0]]
-            if len(targets) == 1
-            else sum(map(mul, probs, map(at, targets)))
-            for targets, probs in self.actions
-        ]
-        new = [
-            reward + 0.5 * xs + 0.5 * (values[i] if choose is None else choose(values[i:j]))
-            for reward, xs, choose, i, j in zip(
-                self.rewards, x, self.choose, self.starts, self.ends
-            )
-        ]
+        new = []
+        for (reward, maximize, actions), xs in zip(self.rows, x):
+            best = None
+            for action in actions:
+                value = 0
+                for i, p in action:
+                    value += p * x[i]
+                if best is None:
+                    best = value
+                elif maximize:
+                    if value > best:
+                        best = value
+                elif value < best:
+                    best = value
+            new.append(reward + 0.5 * xs + 0.5 * best)
         diffs = [u - xs for u, xs in zip(new, x)]
         self.lo = max(self.lo, min(diffs))
         self.hi = min(self.hi, max(diffs))
@@ -400,19 +379,20 @@ def best_exit(
     candidate: SecCandidate,
     bounds: BoundsVector,
     objective: Objective,
-) -> tuple[float, list[tuple[int, int]]]:
+) -> tuple[float, Optional[tuple[int, int]]]:
     """Best one-step expectation over the beneficiary's actions leaving
-    the candidate, together with all optimizing exits.
+    the candidate, together with the first best exit in (state, action)
+    order.
 
-    With no exits, the beneficiary is forced to stay and the degenerate
-    worst bound is returned (value floor for Maximizer, ceiling for
-    Minimizer).
+    With no exits, the beneficiary is forced to stay: the degenerate worst
+    bound (value floor for Maximizer, ceiling for Minimizer) is returned
+    with None.
     """
     maximize = candidate.beneficiary is MAXIMIZER
     reference = bounds.ub if maximize else bounds.lb
     states = candidate.ec.states
     best: Optional[float] = None
-    exits: list[tuple[int, int]] = []
+    exit: Optional[tuple[int, int]] = None
     for s in sorted(states):
         if model.owners[s] is not candidate.beneficiary:
             continue
@@ -428,13 +408,11 @@ def best_exit(
                 value += p * reference[t]
             if best is None or (value > best if maximize else value < best):
                 best = value
-                exits = [(s, a)]
-            elif value == best:
-                exits.append((s, a))
+                exit = (s, a)
     if best is None:
         worst = objective.value_floor() if maximize else objective.value_ceiling()
-        return worst, []
-    return best, exits
+        return worst, None
+    return best, exit
 
 
 def deflate(
@@ -444,14 +422,15 @@ def deflate(
     objective: Objective,
     precision: float,
     cache: Optional[dict] = None,
-) -> tuple[bool, list[tuple[int, int]]]:
+) -> tuple[bool, Optional[tuple[int, int]]]:
     """Lower the upper bound of a Maximizer-beneficiary candidate to the
     better of staying and the best exit.  Never increases any upper bound
-    and never drops it below the lower bound."""
+    and never drops it below the lower bound.  Returns whether a bound
+    changed and the first best exit (None if there is none)."""
     if candidate.beneficiary is not MAXIMIZER:
         raise ValueError("deflate applies to Maximizer-beneficiary candidates")
     _, stay_high = staying_bounds(model, candidate, objective, precision, cache)
-    exit_value, exits = best_exit(model, candidate, bounds, objective)
+    exit_value, exit = best_exit(model, candidate, bounds, objective)
     ceiling = max(stay_high, exit_value)
     changed = False
     lb, ub = bounds.lb, bounds.ub
@@ -465,7 +444,7 @@ def deflate(
         if new < high:
             ub[s] = new
             changed = True
-    return changed, exits
+    return changed, exit
 
 
 def inflate(
@@ -475,13 +454,15 @@ def inflate(
     objective: Objective,
     precision: float,
     cache: Optional[dict] = None,
-) -> tuple[bool, list[tuple[int, int]]]:
+) -> tuple[bool, Optional[tuple[int, int]]]:
     """Dual of deflate: raise the lower bound of a Minimizer-beneficiary
-    candidate to the better (for Minimizer) of staying and leaving."""
+    candidate to the better (for Minimizer) of staying and leaving.
+    Returns whether a bound changed and the first best exit (None if there
+    is none)."""
     if candidate.beneficiary is not MINIMIZER:
         raise ValueError("inflate applies to Minimizer-beneficiary candidates")
     stay_low, _ = staying_bounds(model, candidate, objective, precision, cache)
-    exit_value, exits = best_exit(model, candidate, bounds, objective)
+    exit_value, exit = best_exit(model, candidate, bounds, objective)
     floor = min(stay_low, exit_value)
     changed = False
     lb, ub = bounds.lb, bounds.ub
@@ -495,7 +476,7 @@ def inflate(
         if new > low:
             lb[s] = new
             changed = True
-    return changed, exits
+    return changed, exit
 
 
 class MecTracker:
@@ -655,30 +636,32 @@ class MecTracker:
 
     def _operate(
         self, model: GameModel, candidate: SecCandidate, bounds: BoundsVector
-    ) -> tuple[bool, list[tuple[int, int]], Optional[_StayingIteration]]:
+    ) -> tuple[bool, Optional[tuple[int, int]], Optional[_StayingIteration]]:
         """Deflate a Maximizer candidate or inflate a Minimizer one at the
-        staying precision.  Returns whether a bound changed, the best exits
-        and the candidate's staying iteration (None for reachability)."""
+        staying precision.  Returns whether a bound changed, the first best
+        exit and the candidate's staying iteration (None for
+        reachability)."""
         operate = deflate if candidate.beneficiary is MAXIMIZER else inflate
-        changed, exits = operate(
+        changed, exit = operate(
             model, candidate, bounds, self.objective, self.precision, self.staying_cache
         )
-        return changed, exits, self.staying_cache.get(candidate.ec)
+        return changed, exit, self.staying_cache.get(candidate.ec)
 
     def process(self, model: GameModel, bounds: BoundsVector) -> Optional[list[Exit]]:
         """De-/inflate the MEC's candidates.  Returns, for the simulation
-        jump memory, the first best exit of every candidate that has one,
-        in the order they were processed.
+        jump memory, the first best exit (see ``best_exit``) of every
+        candidate that has one, with the candidate's states, in the order
+        the candidates were processed.
 
         The first call de-/inflates the whole MEC before anything else,
         which is sound whatever the bounds (see the module docstring).
         When the exits' bounds are final, that settles the MEC if its
         staying bracket closes and neither player's best exit beats
-        staying; the call then returns the MEC's own exits and stops.
-        Otherwise it drops them and goes on as every later call does: it
-        refreshes the candidates if needed and de-/inflates them, splitting
-        those whose staying bracket stalled, and a candidate equal to the
-        MEC resumes the whole step's staying iteration.
+        staying; the call then returns the MEC's own first best exits and
+        stops.  Otherwise it drops them and goes on as every later call
+        does: it refreshes the candidates if needed and de-/inflates them,
+        splitting those whose staying bracket stalled, and a candidate
+        equal to the MEC resumes the whole step's staying iteration.
 
         A call for which ``_nothing_to_do`` holds is skipped and returns
         None instead of repeating the exits of the quiet call before it.
@@ -692,12 +675,12 @@ class MecTracker:
         quiet = True
         if self.candidates is None:  # the first call: the whole-MEC step
             for beneficiary in (MAXIMIZER, MINIMIZER):
-                changed, exits, _ = self._operate(
+                changed, exit, _ = self._operate(
                     model, SecCandidate(self.mec, beneficiary), bounds
                 )
                 quiet = quiet and not changed
-                if exits:
-                    used.append((self.mec.states, exits[0]))
+                if exit is not None:
+                    used.append((self.mec.states, exit))
             if self.settled(bounds):
                 self.settled_whole = True
                 return used
@@ -709,11 +692,11 @@ class MecTracker:
             seen = set(worklist)
             while worklist:
                 candidate = worklist.pop()
-                changed, exits, iteration = self._operate(model, candidate, bounds)
+                changed, exit, iteration = self._operate(model, candidate, bounds)
                 if changed:
                     quiet = False
-                if exits:
-                    used.append((candidate.ec.states, exits[0]))
+                if exit is not None:
+                    used.append((candidate.ec.states, exit))
                 if iteration is not None and iteration.hi - iteration.lo > self.precision:
                     # Later steps in this call may narrow the bracket split
                     # on; the next call would then split nothing.

@@ -1,8 +1,8 @@
 """Qualitative and structural analysis of game graphs.
 
-SCC decomposition, maximal end components, sure attractors and the
-value-0 / value-1 sets for reachability.  All algorithms are iterative;
-generated models can have paths far deeper than the interpreter stack.
+SCC decomposition, maximal end components and the value-0 / value-1
+sets for reachability.  All algorithms are iterative; generated models
+can have paths far deeper than the interpreter stack.
 """
 
 from __future__ import annotations
@@ -231,7 +231,7 @@ def _closure(preds: Sequence[set[int]], seed: Iterable[int], joins: Callable) ->
 
 
 def _chooses(
-    model: GameModel, state: int, player: Optional[Player], good: Callable, inside: Container[int]
+    model: GameModel, state: int, player: Player, good: Callable, inside: Container[int]
 ) -> bool:
     """Some action's support is ``good(support, inside)`` if ``player`` owns
     ``state``; else every one."""
@@ -242,43 +242,11 @@ def _chooses(
     return not some
 
 
-def _all_in(support, inside: Container[int]) -> bool:
-    for t, _ in support:
-        if t not in inside:
-            return False
-    return True
-
-
 def _any_in(support, inside: Container[int]) -> bool:
     for t, _ in support:
         if t in inside:
             return True
     return False
-
-
-def attractor(
-    model: GameModel,
-    target: Iterable[int],
-    player: Optional[Player] = None,
-) -> frozenset[int]:
-    """Backward closure of states that surely reach ``target``.
-
-    With ``player`` set, that player picks actions (one action whose full
-    support already lies in the attractor suffices) while the opponent is
-    universally quantified; with ``player`` None ("sure" mode) all actions
-    of every state must lead into the attractor.  Probabilistic branching
-    is treated as universal: the entire support must be inside.  Raises
-    ValueError on an empty target and on a state id the model lacks.
-    """
-    target = set(target)
-    if not target:
-        raise ValueError("attractor target must be non-empty")
-    _check_ids(model, target)
-
-    def sure(s: int, inside: set[int]) -> bool:
-        return _chooses(model, s, player, _all_in, inside)
-
-    return frozenset(_closure(_predecessors(model), target, sure))
 
 
 def qualitative_reach(

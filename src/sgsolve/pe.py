@@ -46,7 +46,7 @@ from .bounds import (
 )
 from .ecsolve import MecTracker
 from .graph import EndComponent, mec_decompose
-from .model import Distribution, GameModel, Player
+from .model import MAXIMIZER, Distribution, GameModel
 from .objectives import Objective, prepare
 from .result import SolveResult
 
@@ -106,7 +106,7 @@ class PartialState:
 def _guidance_action(model: GameModel, state: int, bounds: BoundsVector) -> int:
     """Bound-optimal action: argmax on ub for Maximizer, argmin on lb for
     Minimizer, lowest index on ties."""
-    reference = bounds.ub if model.owner(state) is Player.MAXIMIZER else bounds.lb
+    reference = bounds.ub if model.owners[state] is MAXIMIZER else bounds.lb
     return optimal_actions(model, reference, state)[0]
 
 

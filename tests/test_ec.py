@@ -134,7 +134,9 @@ class TestStayingBounds:
 def reference_staying(model, ec, precision, state):
     """The dict-based staying iteration that the compiled one replaced,
     kept as the reference: ``state`` holds ``x``, ``lo``, ``hi`` and
-    ``diffs`` keyed by state and is resumed across calls."""
+    ``diffs`` keyed by state and is resumed across calls.  Each action is
+    summed from 0, left to right, so the bits do not depend on whether
+    ``sum`` compensates rounding (it does from Python 3.12)."""
     amap = ec.action_map()
     members = sorted(ec.states)
     budget = max(64, 4 * len(members))
@@ -150,7 +152,9 @@ def reference_staying(model, ec, precision, state):
             maximize = model.owner(s) is MAX
             best = None
             for a in amap[s]:
-                value = sum(p * x[t] for t, p in model.distribution(s, a).support)
+                value = 0
+                for t, p in model.distribution(s, a).support:
+                    value += p * x[t]
                 if best is None or (value > best if maximize else value < best):
                     best = value
             updated = model.rewards[s] + 0.5 * x[s] + 0.5 * best
@@ -229,6 +233,35 @@ class TestCompiledStayingIteration:
                     assert bits(iteration.x) == bits(
                         reference["x"][s] for s in iteration.members
                     )
+
+    @pytest.mark.parametrize("owner", [MAX, MIN])
+    @pytest.mark.parametrize("loop_first", [False, True])
+    def test_signed_zero_actions_select_as_max_and_min_do(self, owner, loop_first):
+        """Member 1 (reward -0.0, iterate -0.0) has two internal actions
+        whose only products are 0.0 (to member 0) and -0.0 (its self-loop),
+        and its new iterate carries the sign of the value it selects.
+        Summed from 0, both actions are worth 0.0, so in either order it
+        gets what ``max``/``min`` of the left folds give, and what the
+        reference gives."""
+        acts = [dirac(0), dirac(1)]
+        if loop_first:
+            acts.reverse()
+        model = build_game([MAX, owner], [(dirac(1),), tuple(acts)], [0.0, -0.0], 0)
+        (mec,) = mec_decompose(model).mecs
+        iteration = _StayingIteration.compile(model, mec)
+        iteration.x = [0.0, -0.0]
+        iteration.step()
+        pick = max if owner is MAX else min
+        folds = [0 + d.support[0][1] * [0.0, -0.0][d.support[0][0]] for d in acts]
+        assert bits(folds) == bits([0.0, 0.0])
+        best = -0.0 + 0.5 * -0.0 + 0.5 * pick(folds)
+        assert bits(iteration.x) == bits([0.0, best]) == bits([0.0, 0.0])
+        fresh = _StayingIteration.compile(model, mec)
+        fresh.x = [0.0, -0.0]
+        reference = {"x": {0: 0.0, 1: -0.0}, "lo": -math.inf, "hi": math.inf}
+        want = reference_staying(model, mec, 1e-9, reference)
+        assert bits(plain_staying(fresh, 1e-9)) == bits(want)
+        assert bits(fresh.x) == bits(reference["x"][s] for s in fresh.members)
 
 
 class TestStayingBracket:
@@ -318,19 +351,19 @@ class TestBestExit:
         model, _ = fig1_left()
         candidate = SecCandidate(EndComponent.of([1], {1: (0,)}), MAX)
         bounds = BoundsVector([4.0, 4.0], [5.0, 10.0])
-        value, exits = best_exit(
+        value, exit = best_exit(
             model, candidate, bounds, Objective.mean_payoff(model)
         )
         assert value == 5.0
-        assert exits == [(1, 1)]
+        assert exit == (1, 1)
 
     def test_no_exit_returns_degenerate_bound(self):
         model, _ = fig1_left()
         candidate = SecCandidate(EndComponent.of([0], {0: (0,)}), MAX)
         objective = Objective.mean_payoff(model)
-        value, exits = best_exit(model, candidate, BoundsVector([4, 4], [5, 5]), objective)
+        value, exit = best_exit(model, candidate, BoundsVector([4, 4], [5, 5]), objective)
         assert value == objective.value_floor()
-        assert exits == []
+        assert exit is None
 
 
 class TestDeflateInflate:
@@ -338,12 +371,12 @@ class TestDeflateInflate:
         model, _ = fig1_left()
         candidate = SecCandidate(EndComponent.of([1], {1: (0,)}), MAX)
         bounds = BoundsVector([4.0, 4.0], [5.0, 10.0])
-        changed, exits = deflate(
+        changed, exit = deflate(
             model, candidate, bounds, Objective.mean_payoff(model), 1e-9
         )
         assert changed
         assert bounds.ub[1] == 5.0
-        assert exits == [(1, 1)]
+        assert exit == (1, 1)
 
     def test_deflate_never_crosses_lower_bound(self):
         model, _ = fig1_left()
@@ -361,13 +394,13 @@ class TestDeflateInflate:
         )
         candidate = SecCandidate(EndComponent.of([1], {1: (0,)}), MIN)
         bounds = BoundsVector([5.0, 4.0], [6.0, 6.0])
-        changed, exits = inflate(
+        changed, exit = inflate(
             model, candidate, bounds, Objective.mean_payoff(model), 1e-9
         )
         assert changed
         # Minimizer prefers the reward-5 exit over staying at 6.
         assert bounds.lb[1] == 5.0
-        assert exits == [(1, 1)]
+        assert exit == (1, 1)
 
     def test_wrong_beneficiary_rejected(self):
         model, _ = fig1_left()

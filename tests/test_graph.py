@@ -1,5 +1,5 @@
-"""Graph analysis: SCCs, maximal end components, attractors and the
-qualitative reachability sets."""
+"""Graph analysis: SCCs, maximal end components and the qualitative
+reachability sets."""
 
 import itertools
 import random
@@ -19,7 +19,6 @@ from conftest import (
 )
 from sgsolve.graph import (
     EndComponent,
-    attractor,
     mec_decompose,
     qualitative_reach,
     scc_decompose,
@@ -247,33 +246,6 @@ class TestKnownScc:
             for component in scc_decompose(model):
                 known = mec_decompose(model, component, strongly_connected=True)
                 assert list(known.mecs) == plain_mecs(model, component)
-
-
-class TestAttractor:
-    def test_sure_mode(self):
-        m = cycle_model()
-        # From 1 the exit is only one of two actions, so "sure" fails.
-        assert attractor(m, {2}) == frozenset({2})
-
-    def test_player_mode(self):
-        m = cycle_model()
-        # Minimizer exits at 1, and 0 has no alternative to entering 1.
-        assert attractor(m, {2}, MIN) == frozenset({0, 1, 2})
-        assert attractor(m, {2}, MAX) == frozenset({2})
-
-    def test_probabilistic_branching_is_universal(self):
-        m = build_game(
-            [MAX, MAX, MAX],
-            [(dist((1, 0.5), (2, 0.5)),), (dirac(1),), (dirac(2),)],
-            [0, 0, 0],
-            0,
-        )
-        assert attractor(m, {2}, MAX) == frozenset({2})
-
-    @pytest.mark.parametrize("target", [{-1}, {3}, {0, 7}])
-    def test_unknown_state_rejected(self, target):
-        with pytest.raises(ValueError, match="unknown state id"):
-            attractor(cycle_model(), target, MAX)
 
 
 def reference_qualitative_reach(model, goal, unsafe=()):
