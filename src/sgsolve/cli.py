@@ -4,9 +4,10 @@ Reads a game from an explicit-format file or a built-in generator, solves
 it with the chosen strategy, and prints a single JSON object with the
 value, the certified bounds and run statistics.
 
-Exit codes: 0 on success (``--help`` included), 1 on usage/input errors,
-2 when the iteration budget was exhausted before convergence (bounds are
-still printed and valid).
+Exit codes: 0 on success (``--help`` included), 1 on usage/input errors
+(a flag the objective or source would ignore among them), 2 when the
+iteration budget was exhausted before convergence (bounds are still
+printed and valid).
 """
 
 from __future__ import annotations
@@ -93,6 +94,12 @@ def make_parser() -> argparse.ArgumentParser:
 def run(argv: Optional[list[str]] = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    reads = {"reach": ("goal", "avoid"), "safety": ("unsafe",)}.get(args.objective, ())
+    for flag in ("goal", "avoid", "unsafe"):
+        if getattr(args, flag) is not None and flag not in reads:
+            parser.error(f"--{flag} does not apply to --objective {args.objective}")
+    if args.model is not None and args.param:
+        parser.error("--param applies to --generate only")
     try:
         if args.model is not None:
             with open(args.model) as fp:

@@ -5,7 +5,8 @@ lowered to the better of its staying value and its best exit (deflate);
 dually, the lower bound of a region where Minimizer wants to remain is
 raised (inflate).  Candidates are found per game MEC by fixing the
 opposing player to its currently optimal choices and searching for end
-components in the induced restriction.
+components in the induced restriction.  A candidate is an ``EndComponent``;
+the list of ``MecTracker.candidates`` it sits in names its beneficiary.
 
 That restriction serves convergence, not soundness: de-/inflating any
 end component T of the game, the whole MEC included, keeps every bound
@@ -50,15 +51,6 @@ from .model import MAXIMIZER, MINIMIZER, GameModel, Player
 from .objectives import Objective, ObjectiveKind
 
 
-@dataclass(frozen=True)
-class SecCandidate:
-    """An end component of the induced MDP in which the beneficiary may
-    want to remain, given current bounds."""
-
-    ec: EndComponent
-    beneficiary: Player
-
-
 # A de-/inflation exit: the candidate's states and the (state, action)
 # pair its beneficiary leaves by.
 Exit = tuple[frozenset[int], tuple[int, int]]
@@ -69,7 +61,7 @@ def _candidates_in(
     states: frozenset[int],
     beneficiary: Player,
     opponent_actions: dict[int, tuple[int, ...]],
-) -> list[SecCandidate]:
+) -> list[EndComponent]:
     """The beneficiary's candidates inside ``states``: the end components
     there when the opponent may use only ``opponent_actions`` at its
     states."""
@@ -80,8 +72,7 @@ def _candidates_in(
             return opponent_actions[state]
         return range(model.num_actions(state))
 
-    decomposition = mec_decompose(model, restrict_to=states, allowed_actions=allowed)
-    return [SecCandidate(ec, beneficiary) for ec in decomposition.mecs]
+    return list(mec_decompose(model, restrict_to=states, allowed_actions=allowed).mecs)
 
 
 def sec_candidates(
@@ -89,10 +80,10 @@ def sec_candidates(
     game_mec: EndComponent,
     beneficiary: Player,
     opponent_optimal: dict[int, tuple[int, ...]],
-) -> list[SecCandidate]:
-    """Candidates for the beneficiary inside one game MEC, with the
-    opponent fixed to the actions ``opponent_optimal`` gives at its
-    states.
+) -> list[EndComponent]:
+    """The end components inside one game MEC in which the beneficiary
+    may want to remain, with the opponent fixed to the actions
+    ``opponent_optimal`` gives at its states.
 
     The caller passes all of the opponent's currently optimal actions (or
     one of them per state): the upper-bound optimal ones when deflating
@@ -111,7 +102,7 @@ def sec_candidates(
         for s in game_mec.states
         if model.owners[s] is opponent
     ):
-        return [SecCandidate(game_mec, beneficiary)]
+        return [game_mec]
     return _candidates_in(model, game_mec.states, beneficiary, opponent_optimal)
 
 
@@ -129,6 +120,11 @@ EXTRAPOLATION_DEPTH = 8
 # A column of the extrapolation's normal equations whose pivot falls below
 # this share of its diagonal entry depends on the earlier ones; it is dropped.
 DEPENDENT_PIVOT = 1e-10
+# An extrapolant whose spread (max - min) exceeds this multiple of that of the
+# iterate it would replace is discarded (see ``_StayingIteration``).  With 16,
+# 14 of CE's and PE's first 300 stream games change, each to an overlapping
+# interval; with 2, 38 change, one to an interval that no longer overlaps.
+SPREAD_GROWTH = 16.0
 
 
 @dataclass
@@ -150,7 +146,9 @@ class _StayingIteration:
     every staying value, the limit of ``T^k(x)/k``, is at most ``M``; dually
     at least ``min(T(x) - x)``.  The bracket ``[lo, hi]``, the running max
     of those minima and the running min of those maxima, is thus sound
-    whichever finite iterates the steps are applied to.
+    whichever finite iterates the steps are applied to, in exact
+    arithmetic.  In floating point a step rounds each difference by about
+    one ulp of ``x``, so the bracket's error grows with the size of ``x``.
 
     That frees ``advance`` to move ``x`` to a better guess than the plain
     sequence: reduced-rank extrapolation (RRE; Smith, Ford & Sidi, SIAM
@@ -161,11 +159,13 @@ class _StayingIteration:
     smaller end component, the number of members less one: the iterates
     keep the first member at 0, so their differences span at most that
     many dimensions.  A column of the normal equations that depends on the
-    earlier ones is dropped, and a non-finite extrapolant is discarded.  A
-    bracket that does not narrow (a game without a uniform value, whose
-    bracket stalls at the spread of the values) is never extrapolated, so
-    ``split_candidates`` reads the differences of the plain sequence.  The
-    differences are those of a plain step either way."""
+    earlier ones is dropped, and an extrapolant that is not finite or
+    widens the spread of ``x`` more than ``SPREAD_GROWTH``-fold is
+    discarded.  A bracket that does not narrow (a game without a uniform
+    value, whose bracket stalls at the spread of the values) is never
+    extrapolated, so ``split_candidates`` reads the differences of the
+    plain sequence.  The differences are those of a plain step either
+    way."""
 
     members: list[int]
     rows: list[tuple[float, bool, tuple[tuple[tuple[int, float], ...], ...]]]
@@ -246,7 +246,8 @@ def _dot(u: list[float], v: list[float]) -> float:
 
 def _extrapolate(xs: list[list[float]]) -> Optional[list[float]]:
     """The RRE extrapolant of the iterates ``xs`` (oldest first), or None
-    when it is not finite or every column is dependent.
+    when it is not finite, when every column is dependent, or when its
+    spread exceeds ``SPREAD_GROWTH`` times that of the last iterate.
 
     With differences ``u_i = x_{i+1} - x_i`` and second differences
     ``w_i = u_{i+1} - u_i``, the extrapolant is ``x_0 + sum(xi_i u_i)``
@@ -287,51 +288,52 @@ def _extrapolate(xs: list[list[float]]) -> Optional[list[float]]:
     extrapolant = [sum(map(mul, gamma, column)) for column in zip(*xs[: len(gamma)])]
     if not math.isfinite(sum(extrapolant)):
         return None
+    last = xs[-1]
+    if max(extrapolant) - min(extrapolant) > SPREAD_GROWTH * (max(last) - min(last)):
+        return None
     return extrapolant
 
 
 def staying_bounds(
     model: GameModel,
-    candidate: SecCandidate,
+    ec: EndComponent,
     objective: Objective,
     precision: float,
-    cache: Optional[dict] = None,
+    cache: dict[EndComponent, _StayingIteration],
 ) -> tuple[float, float]:
-    """Converging bracket on the value obtained by remaining in the
-    candidate forever.
+    """Converging bracket on the value obtained by remaining in the end
+    component ``ec`` forever.
 
-    For reachability this is exact: 1 if the candidate contains a goal
-    state, else 0.  For mean payoff, value iteration on the game
-    restricted to the candidate's internal actions (each state optimizing
-    for its owner), made aperiodic by blending every step with a half
-    self-loop; the running min/max of the iteration differences bracket
-    the per-state staying values.  The iteration does not depend on the
-    beneficiary: ``cache`` keys it by the end component ``candidate.ec``,
-    so the Maximizer and the Minimizer candidate over one end component
-    share one iteration, compiled on first use and resumed by later calls.
-    The iteration runs ``_StayingIteration.advance``: plain steps, with an
-    extrapolation of the iterates every ``EXTRAPOLATION_PERIOD`` steps
-    while the bracket narrows.  The bracket stays sound because each plain
-    step bounds the staying values from whatever finite iterate it starts;
-    the extrapolation only makes it close in fewer steps.
+    For reachability this is exact: 1 if ``ec`` contains a goal state,
+    else 0.  For mean payoff, value iteration on the game restricted to
+    the internal actions of ``ec`` (each state optimizing for its owner),
+    made aperiodic by blending every step with a half self-loop; the
+    running min/max of the iteration differences bracket the per-state
+    staying values.  The iteration does not depend on the player it
+    serves: ``cache`` keys it by ``ec``, so deflating and inflating one
+    end component share one iteration, compiled on first use and resumed
+    by later calls.  The iteration runs ``_StayingIteration.advance``:
+    plain steps, with an extrapolation of the iterates every
+    ``EXTRAPOLATION_PERIOD`` steps while the bracket narrows.  The bracket
+    holds because each plain step bounds the staying values from whatever
+    finite iterate it starts (see ``_StayingIteration``); the
+    extrapolation only makes it close in fewer steps.
 
     When the restricted game does not have a uniform value, the bracket
     stalls at the spread of the per-state values and never closes; each
     call therefore runs a bounded number of steps and returns the
     still-valid loose bracket.  Refinement then happens by splitting the
-    candidate along the per-state gain estimates (``split_candidates``),
-    not by iterating further here.
+    end component along the per-state gain estimates
+    (``split_candidates``), not by iterating further here.
     """
     if objective.kind is not ObjectiveKind.MEAN_PAYOFF:
-        if candidate.ec.states & objective.goal:
+        if ec.states & objective.goal:
             return (1.0, 1.0)
         return (0.0, 0.0)
 
-    state = cache.get(candidate.ec) if cache is not None else None
+    state = cache.get(ec)
     if state is None:
-        state = _StayingIteration.compile(model, candidate.ec)
-        if cache is not None:
-            cache[candidate.ec] = state
+        state = cache[ec] = _StayingIteration.compile(model, ec)
 
     budget = max(64, 4 * len(state.members))
     steps = 0
@@ -343,22 +345,24 @@ def staying_bounds(
 
 def split_candidates(
     model: GameModel,
-    candidate: SecCandidate,
+    ec: EndComponent,
+    beneficiary: Player,
     iteration: _StayingIteration,
-) -> list[SecCandidate]:
-    """Partition a candidate whose staying bracket stalled.
+) -> list[EndComponent]:
+    """Partition a candidate ``ec`` of ``beneficiary`` whose staying
+    bracket stalled.
 
     A stalled bracket means the restricted game does not have a uniform
     value; the per-state iteration differences approach the per-state
     gains, so grouping states by them separates the value classes.  The
     end components inside each group (opponent still restricted to the
-    candidate's retained actions) are smaller candidates that can be
-    de-/inflated on their own.
+    internal actions of ``ec``) are smaller candidates of the same
+    beneficiary that can be de-/inflated on their own.
     """
     if not iteration.diffs:
         return []
     diffs = dict(zip(iteration.members, iteration.diffs))
-    members = sorted(candidate.ec.states, key=lambda s: (diffs[s], s))
+    members = sorted(ec.states, key=lambda s: (diffs[s], s))
     threshold = max((iteration.hi - iteration.lo) / (2.0 * len(members)), 1e-12)
     groups: list[list[int]] = [[members[0]]]
     for prev, s in zip(members, members[1:]):
@@ -367,34 +371,34 @@ def split_candidates(
         groups[-1].append(s)
     if len(groups) == 1:
         return []
-    amap = candidate.ec.action_map()
-    subs: list[SecCandidate] = []
+    amap = ec.action_map()
+    subs: list[EndComponent] = []
     for group in groups:
-        subs.extend(_candidates_in(model, frozenset(group), candidate.beneficiary, amap))
+        subs.extend(_candidates_in(model, frozenset(group), beneficiary, amap))
     return subs
 
 
 def best_exit(
     model: GameModel,
-    candidate: SecCandidate,
+    ec: EndComponent,
+    beneficiary: Player,
     bounds: BoundsVector,
     objective: Objective,
 ) -> tuple[float, Optional[tuple[int, int]]]:
     """Best one-step expectation over the beneficiary's actions leaving
-    the candidate, together with the first best exit in (state, action)
-    order.
+    ``ec``, together with the first best exit in (state, action) order.
 
     With no exits, the beneficiary is forced to stay: the degenerate worst
     bound (value floor for Maximizer, ceiling for Minimizer) is returned
     with None.
     """
-    maximize = candidate.beneficiary is MAXIMIZER
+    maximize = beneficiary is MAXIMIZER
     reference = bounds.ub if maximize else bounds.lb
-    states = candidate.ec.states
+    states = ec.states
     best: Optional[float] = None
     exit: Optional[tuple[int, int]] = None
     for s in sorted(states):
-        if model.owners[s] is not candidate.beneficiary:
+        if model.owners[s] is not beneficiary:
             continue
         for a, dist in enumerate(model.actions[s]):
             support = dist.support
@@ -417,24 +421,23 @@ def best_exit(
 
 def deflate(
     model: GameModel,
-    candidate: SecCandidate,
+    ec: EndComponent,
     bounds: BoundsVector,
     objective: Objective,
     precision: float,
-    cache: Optional[dict] = None,
+    cache: dict[EndComponent, _StayingIteration],
 ) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Lower the upper bound of a Maximizer-beneficiary candidate to the
-    better of staying and the best exit.  Never increases any upper bound
+    """Lower the upper bound of every state of ``ec``, a candidate of
+    Maximizer, to the better of staying (``staying_bounds`` with
+    ``cache``) and Maximizer's best exit.  Never increases any upper bound
     and never drops it below the lower bound.  Returns whether a bound
     changed and the first best exit (None if there is none)."""
-    if candidate.beneficiary is not MAXIMIZER:
-        raise ValueError("deflate applies to Maximizer-beneficiary candidates")
-    _, stay_high = staying_bounds(model, candidate, objective, precision, cache)
-    exit_value, exit = best_exit(model, candidate, bounds, objective)
+    _, stay_high = staying_bounds(model, ec, objective, precision, cache)
+    exit_value, exit = best_exit(model, ec, MAXIMIZER, bounds, objective)
     ceiling = max(stay_high, exit_value)
     changed = False
     lb, ub = bounds.lb, bounds.ub
-    for s in candidate.ec.states:
+    for s in ec.states:
         # max(min(ub[s], ceiling), lb[s]), by the comparisons max and min make.
         high = ub[s]
         new = ceiling if ceiling < high else high
@@ -449,24 +452,22 @@ def deflate(
 
 def inflate(
     model: GameModel,
-    candidate: SecCandidate,
+    ec: EndComponent,
     bounds: BoundsVector,
     objective: Objective,
     precision: float,
-    cache: Optional[dict] = None,
+    cache: dict[EndComponent, _StayingIteration],
 ) -> tuple[bool, Optional[tuple[int, int]]]:
-    """Dual of deflate: raise the lower bound of a Minimizer-beneficiary
-    candidate to the better (for Minimizer) of staying and leaving.
-    Returns whether a bound changed and the first best exit (None if there
-    is none)."""
-    if candidate.beneficiary is not MINIMIZER:
-        raise ValueError("inflate applies to Minimizer-beneficiary candidates")
-    stay_low, _ = staying_bounds(model, candidate, objective, precision, cache)
-    exit_value, exit = best_exit(model, candidate, bounds, objective)
+    """Dual of deflate: raise the lower bound of every state of ``ec``, a
+    candidate of Minimizer, to the better (for Minimizer) of staying and
+    Minimizer's best exit.  Returns whether a bound changed and the first
+    best exit (None if there is none)."""
+    stay_low, _ = staying_bounds(model, ec, objective, precision, cache)
+    exit_value, exit = best_exit(model, ec, MINIMIZER, bounds, objective)
     floor = min(stay_low, exit_value)
     changed = False
     lb, ub = bounds.lb, bounds.ub
-    for s in candidate.ec.states:
+    for s in ec.states:
         # min(max(lb[s], floor), ub[s]), by the comparisons min and max make.
         low = lb[s]
         new = floor if floor > low else low
@@ -481,8 +482,8 @@ def inflate(
 
 class MecTracker:
     """Per-game-MEC bookkeeping of one solve to precision ``epsilon``:
-    recommender signatures, cached candidate sets and cached staying-value
-    iterations.
+    recommender signatures, cached candidates (``candidates``: end
+    components per beneficiary) and cached staying-value iterations.
 
     The first ``process`` call de-/inflates the MEC itself; when that
     settles it (``settled_whole``), the tracker never computes a
@@ -495,8 +496,8 @@ class MecTracker:
     life: the bracket is sound at any precision, which only bounds how
     long a call iterates, and each call runs a bounded number of steps.
     The staying cache holds one iteration per end component (keyed by the
-    ``EndComponent`` itself), compiled once and shared by the deflated
-    Maximizer candidate and the inflated Minimizer candidate over it.  An
+    ``EndComponent`` itself), compiled once and shared by deflation and
+    inflation of it, whichever player's candidate it is.  An
     iteration is kept for the tracker's whole life, also while its end
     component is no candidate, so a candidate that comes back resumes it.
     That is sound: the bracket holds from any finite iterate (see
@@ -522,8 +523,8 @@ class MecTracker:
         self.objective = objective
         self.epsilon = epsilon
         self.precision = epsilon / 4.0
-        self.staying_cache: dict = {}
-        self.candidates: Optional[dict[Player, list[SecCandidate]]] = None
+        self.staying_cache: dict[EndComponent, _StayingIteration] = {}
+        self.candidates: Optional[dict[Player, list[EndComponent]]] = None
         self.settled_whole = False
         self._settled = False
         self._signature: Optional[tuple] = None
@@ -579,7 +580,7 @@ class MecTracker:
             opponent = [s for s, _, _ in signature if model.owners[s] is beneficiary.opponent]
             searched: set[tuple] = set()
             # Insertion-ordered set: each candidate once, in order found.
-            found: dict[SecCandidate, None] = {}
+            found: dict[EndComponent, None] = {}
             for optimal in (optimal_ub, optimal_lb, single_ub, single_lb):
                 restriction = tuple(optimal[s] for s in opponent)
                 if restriction in searched:
@@ -634,29 +635,17 @@ class MecTracker:
             list(map(bounds.ub.__getitem__, self._reads)),
         )
 
-    def _operate(
-        self, model: GameModel, candidate: SecCandidate, bounds: BoundsVector
-    ) -> tuple[bool, Optional[tuple[int, int]], Optional[_StayingIteration]]:
-        """Deflate a Maximizer candidate or inflate a Minimizer one at the
-        staying precision.  Returns whether a bound changed, the first best
-        exit and the candidate's staying iteration (None for
-        reachability)."""
-        operate = deflate if candidate.beneficiary is MAXIMIZER else inflate
-        changed, exit = operate(
-            model, candidate, bounds, self.objective, self.precision, self.staying_cache
-        )
-        return changed, exit, self.staying_cache.get(candidate.ec)
-
     def process(self, model: GameModel, bounds: BoundsVector) -> Optional[list[Exit]]:
-        """De-/inflate the MEC's candidates.  Returns, for the simulation
-        jump memory, the first best exit (see ``best_exit``) of every
-        candidate that has one, with the candidate's states, in the order
-        the candidates were processed.
+        """Deflate the MEC's Maximizer candidates and inflate its Minimizer
+        ones, at the staying precision.  Returns, for the simulation jump
+        memory, the first best exit (see ``best_exit``) of every candidate
+        that has one, with the candidate's states, in the order the
+        candidates were processed.
 
-        The first call de-/inflates the whole MEC before anything else,
-        which is sound whatever the bounds (see the module docstring).
-        When the exits' bounds are final, that settles the MEC if its
-        staying bracket closes and neither player's best exit beats
+        The first call deflates and inflates the whole MEC before anything
+        else, which is sound whatever the bounds (see the module
+        docstring).  When the exits' bounds are final, that settles the MEC
+        if its staying bracket closes and neither player's best exit beats
         staying; the call then returns the MEC's own first best exits and
         stops.  Otherwise it drops them and goes on as every later call
         does: it refreshes the candidates if needed and de-/inflates them,
@@ -671,13 +660,13 @@ class MecTracker:
         if self._nothing_to_do(bounds):
             return None
         self._quiet = None
+        objective, precision, cache = self.objective, self.precision, self.staying_cache
+        operations = ((MAXIMIZER, deflate), (MINIMIZER, inflate))
         used: list[Exit] = []
         quiet = True
         if self.candidates is None:  # the first call: the whole-MEC step
-            for beneficiary in (MAXIMIZER, MINIMIZER):
-                changed, exit, _ = self._operate(
-                    model, SecCandidate(self.mec, beneficiary), bounds
-                )
+            for _, operate in operations:
+                changed, exit = operate(model, self.mec, bounds, objective, precision, cache)
                 quiet = quiet and not changed
                 if exit is not None:
                     used.append((self.mec.states, exit))
@@ -687,21 +676,22 @@ class MecTracker:
             used = []
         self.refresh_candidates(model, bounds)
         assert self.candidates is not None
-        for beneficiary in (MAXIMIZER, MINIMIZER):
+        for beneficiary, operate in operations:
             worklist = list(self.candidates[beneficiary])
             seen = set(worklist)
             while worklist:
-                candidate = worklist.pop()
-                changed, exit, iteration = self._operate(model, candidate, bounds)
+                ec = worklist.pop()
+                changed, exit = operate(model, ec, bounds, objective, precision, cache)
                 if changed:
                     quiet = False
                 if exit is not None:
-                    used.append((candidate.ec.states, exit))
-                if iteration is not None and iteration.hi - iteration.lo > self.precision:
+                    used.append((ec.states, exit))
+                iteration = cache.get(ec)  # None for reachability
+                if iteration is not None and iteration.hi - iteration.lo > precision:
                     # Later steps in this call may narrow the bracket split
                     # on; the next call would then split nothing.
                     quiet = False
-                    for sub in split_candidates(model, candidate, iteration):
+                    for sub in split_candidates(model, ec, beneficiary, iteration):
                         if sub not in seen:
                             seen.add(sub)
                             worklist.append(sub)

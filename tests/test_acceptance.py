@@ -20,10 +20,9 @@ import pytest
 from conftest import random_game, random_objective
 from sgsolve.bounds import BoundsVector
 from sgsolve.ce import solve_ce
-from sgsolve.ecsolve import SecCandidate, deflate
+from sgsolve.ecsolve import deflate
 from sgsolve.generators import fig1_left, fig2_chain, generate
 from sgsolve.graph import EndComponent, mec_decompose
-from sgsolve.model import Player
 from sgsolve.objectives import Objective, ObjectiveKind, init_bounds, reach_as_meanpayoff
 from sgsolve.oracle import SingularSystem, TooLarge, game_value_bruteforce
 from sgsolve.pe import solve_pe
@@ -66,8 +65,8 @@ def test_criterion_2_figure_regressions():
     # loose initial 10 to the exit value 5, exactly.
     model, _ = fig1_left()
     bounds = BoundsVector([4.0, 4.0], [5.0, 10.0])
-    candidate = SecCandidate(EndComponent.of([1], {1: (0,)}), Player.MAXIMIZER)
-    deflate(model, candidate, bounds, Objective.mean_payoff(model), 1e-9)
+    loop = EndComponent.of([1], {1: (0,)})
+    deflate(model, loop, bounds, Objective.mean_payoff(model), 1e-9, {})
     assert bounds.ub[1] == 5.0
 
     # Two-gadget chain: deflating the s2 self-loop component yields exactly
@@ -75,14 +74,14 @@ def test_criterion_2_figure_regressions():
     model, labels = fig2_chain(1)
     objective = Objective.reachability(labels["goal"])
     bounds = init_bounds(model, objective)
-    s2 = SecCandidate(EndComponent.of([1], {1: (0,)}), Player.MAXIMIZER)
-    deflate(model, s2, bounds, objective, 1e-9)
+    s2 = EndComponent.of([1], {1: (0,)})
+    deflate(model, s2, bounds, objective, 1e-9, {})
     assert bounds.ub[1] == 2.0 / 3.0
 
-    s1 = SecCandidate(EndComponent.of([0], {0: (0,)}), Player.MAXIMIZER)
+    s1 = EndComponent.of([0], {0: (0,)})
     changed = True
     while changed:
-        changed, _ = deflate(model, s1, bounds, objective, 1e-9)
+        changed, _ = deflate(model, s1, bounds, objective, 1e-9, {})
     assert bounds.ub[0] == pytest.approx(4.0 / 6.0, abs=1e-12)
 
     # Reach value of the one-gadget chain is 1/2.

@@ -24,7 +24,7 @@ from sgsolve.bounds import (
     state_update,
 )
 from sgsolve.ce import solve_ce
-from sgsolve.ecsolve import SecCandidate, best_exit, deflate, inflate, staying_bounds
+from sgsolve.ecsolve import best_exit, deflate, inflate, staying_bounds
 from sgsolve.generators import generate
 from sgsolve.graph import EndComponent
 from sgsolve.model import build_game
@@ -120,14 +120,14 @@ def reference_update(model, bounds, s) -> tuple[float, float]:
     return lb, ub
 
 
-def reference_best_exit(model, candidate, bounds, objective):
-    maximize = candidate.beneficiary is MAX
+def reference_best_exit(model, ec, beneficiary, bounds, objective):
+    maximize = beneficiary is MAX
     reference = bounds.ub if maximize else bounds.lb
-    states = candidate.ec.states
+    states = ec.states
     values = {
         (s, a): left_fold(d, reference)
         for s in sorted(states)
-        if model.owners[s] is candidate.beneficiary
+        if model.owners[s] is beneficiary
         for a, d in enumerate(model.actions[s])
         if any(t not in states for t, _ in d.support)
     }
@@ -177,9 +177,9 @@ def test_kernels_sum_each_support_left_to_right(rng):
         n = model.num_states
         for states in [frozenset(rng.sample(range(n), rng.randint(1, min(4, n)))) for _ in range(10)]:
             for player in (MAX, MIN):
-                candidate = SecCandidate(EndComponent.of(states, {}), player)
-                value, exit = best_exit(model, candidate, bounds, objective)
-                expected, expected_exit = reference_best_exit(model, candidate, bounds, objective)
+                ec = EndComponent.of(states, {})
+                value, exit = best_exit(model, ec, player, bounds, objective)
+                expected, expected_exit = reference_best_exit(model, ec, player, bounds, objective)
                 assert (float(value).hex(), exit) == (float(expected).hex(), expected_exit)
 
 
@@ -196,9 +196,9 @@ def test_a_tie_under_the_left_fold_stays_a_tie():
     )
     x = [1.0, 1.0, tiny, tiny, 0.5]
     assert optimal_actions(model, x, 0) == (0, 1)
-    candidate = SecCandidate(EndComponent.of([0], {}), MAX)
+    ec = EndComponent.of([0], {})
     bounds = BoundsVector([0.0] * 5, x)
-    assert best_exit(model, candidate, bounds, Objective.mean_payoff(model)) == (0.5, (0, 0))
+    assert best_exit(model, ec, MAX, bounds, Objective.mean_payoff(model)) == (0.5, (0, 0))
     state_update(model, bounds, 0)
     assert bounds.ub[0] == 0.5
 
@@ -252,11 +252,11 @@ def test_clips_select_as_max_and_min_do(rng):
             objective = Objective.reachability(goal)
             states = frozenset(rng.sample(range(n), rng.randint(1, n)))
             for player, operate in ((MAX, deflate), (MIN, inflate)):
-                candidate = SecCandidate(EndComponent.of(states, {}), player)
-                low, high = staying_bounds(model, candidate, objective, 1e-6)
-                exit_value, _ = best_exit(model, candidate, bounds, objective)
+                ec = EndComponent.of(states, {})
+                low, high = staying_bounds(model, ec, objective, 1e-6, {})
+                exit_value, _ = best_exit(model, ec, player, bounds, objective)
                 updated = bounds.copy()
-                operate(model, candidate, updated, objective, 1e-6)
+                operate(model, ec, updated, objective, 1e-6, {})
                 for t in model.states():
                     lb, ub = bounds.lb[t], bounds.ub[t]
                     if t not in states:

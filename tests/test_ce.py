@@ -530,10 +530,10 @@ def test_trackers_start_at_the_tight_staying_precision(monkeypatch):
     precisions: list[float] = []
     staying_bounds = ecsolve.staying_bounds
 
-    def recording(model, candidate, objective, precision, cache=None):
-        firsts.setdefault(candidate.ec, precision)
+    def recording(model, ec, objective, precision, cache):
+        firsts.setdefault(ec, precision)
         precisions.append(precision)
-        return staying_bounds(model, candidate, objective, precision, cache)
+        return staying_bounds(model, ec, objective, precision, cache)
 
     monkeypatch.setattr(ecsolve, "staying_bounds", recording)
     model, _ = fig1_left()

@@ -192,6 +192,24 @@ def test_safety_requires_unsafe(capsys):
     assert usage_error_code(capsys, ["--generate", "fig1left", "--objective", "safety"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--generate", "fig1right", "--objective", "reach", "--goal", "goal",
+         "--unsafe", "x_region"],
+        ["--generate", "fig1right", "--objective", "safety", "--unsafe", "goal",
+         "--goal", "goal"],
+        ["--generate", "fig1left", "--objective", "mean-payoff", "--avoid", "0"],
+        ["--model", "chain.sg", "--param", "k=2", "--objective", "mean-payoff"],
+    ],
+    ids=["unsafe", "goal", "avoid", "param"],
+)
+def test_flag_that_would_be_ignored_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "chain.sg").write_text(serialize(chain_model(), {}))
+    assert usage_error_code(capsys, argv) == 1
+
+
 def test_unparsable_precision_is_usage_error(capsys):
     argv = ["--generate", "fig1left", "--objective", "mean-payoff", "--precision", "abc"]
     assert usage_error_code(capsys, argv) == 1

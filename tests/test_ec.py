@@ -5,13 +5,20 @@ import math
 
 import pytest
 
-from conftest import MAX, MIN, dirac, random_game, random_objective, split_value_mec_model
+from conftest import (
+    MAX,
+    MIN,
+    dirac,
+    random_game,
+    random_objective,
+    split_value_mec_model,
+    stream_game,
+)
 from sgsolve import ecsolve
 from sgsolve.bounds import BoundsVector, optimal_actions, state_update
 from sgsolve.ce import solve_ce
 from sgsolve.ecsolve import (
     MecTracker,
-    SecCandidate,
     _StayingIteration,
     best_exit,
     deflate,
@@ -58,37 +65,34 @@ class TestSecCandidates:
         # Both Minimizer actions look equally good: the whole MEC remains.
         bounds = BoundsVector([0.0] * 4, [1.0] * 4)
         candidates = sec_candidates(model, mec, MAX, ub_optimal(model, mec, bounds))
-        assert [c.ec for c in candidates] == [mec]
-        assert candidates[0].beneficiary is MAX
+        assert candidates == [mec]
 
     def test_explicit_opponent_actions(self):
         model, labels = fig1_right()
         mec = self.game_mec(model)
         p = model.initial
         candidates = sec_candidates(model, mec, MAX, {p: (1,)})
-        assert [c.ec.states for c in candidates] == [mec.states]
+        assert [c.states for c in candidates] == [mec.states]
 
 
 class TestStayingBounds:
     def test_reachability_is_exact(self):
-        candidate = SecCandidate(EndComponent.of([1], {1: (0,)}), MAX)
-        assert staying_bounds(None, candidate, reach_obj({1}), 1e-9) == (1.0, 1.0)
-        assert staying_bounds(None, candidate, reach_obj({5}), 1e-9) == (0.0, 0.0)
+        ec = EndComponent.of([1], {1: (0,)})
+        assert staying_bounds(None, ec, reach_obj({1}), 1e-9, {}) == (1.0, 1.0)
+        assert staying_bounds(None, ec, reach_obj({5}), 1e-9, {}) == (0.0, 0.0)
 
     def test_single_self_loop(self):
         model, _ = fig1_left()
-        candidate = SecCandidate(EndComponent.of([0], {0: (0,)}), MAX)
-        lo, hi = staying_bounds(model, candidate, Objective.mean_payoff(model), 1e-9)
+        ec = EndComponent.of([0], {0: (0,)})
+        lo, hi = staying_bounds(model, ec, Objective.mean_payoff(model), 1e-9, {})
         assert lo == hi == 5.0
 
     def test_two_cycle_average(self):
         model = build_game(
             [MAX, MAX], [(dirac(1),), (dirac(0),)], [2.0, 4.0], 0
         )
-        candidate = SecCandidate(
-            EndComponent.of([0, 1], {0: (0,), 1: (0,)}), MAX
-        )
-        lo, hi = staying_bounds(model, candidate, Objective.mean_payoff(model), 1e-9)
+        ec = EndComponent.of([0, 1], {0: (0,), 1: (0,)})
+        lo, hi = staying_bounds(model, ec, Objective.mean_payoff(model), 1e-9, {})
         assert lo == pytest.approx(3.0, abs=1e-9)
         assert hi == pytest.approx(3.0, abs=1e-9)
 
@@ -96,14 +100,12 @@ class TestStayingBounds:
         model = build_game(
             [MAX, MAX], [(dirac(1),), (dirac(0),)], [2.0, 4.0], 0
         )
-        candidate = SecCandidate(
-            EndComponent.of([0, 1], {0: (0,), 1: (0,)}), MAX
-        )
+        ec = EndComponent.of([0, 1], {0: (0,), 1: (0,)})
         objective = Objective.mean_payoff(model)
         cache = {}
-        staying_bounds(model, candidate, objective, 1.0, cache)
-        assert candidate.ec in cache
-        lo, hi = staying_bounds(model, candidate, objective, 1e-12, cache)
+        staying_bounds(model, ec, objective, 1.0, cache)
+        assert ec in cache
+        lo, hi = staying_bounds(model, ec, objective, 1e-12, cache)
         assert hi - lo <= 1e-12
 
     def test_beneficiaries_share_one_iteration(self):
@@ -113,19 +115,20 @@ class TestStayingBounds:
         ec = EndComponent.of([0, 1], {0: (0,), 1: (0,)})
         objective = Objective.mean_payoff(model)
         cache = {}
-        deflated = staying_bounds(model, SecCandidate(ec, MAX), objective, 1e-9, cache)
-        inflated = staying_bounds(model, SecCandidate(ec, MIN), objective, 1e-9, cache)
+        bounds = BoundsVector([0.0, 0.0], [4.0, 4.0])
+        deflate(model, ec, bounds, objective, 1e-9, cache)
+        iteration = cache[ec]
+        deflated = (iteration.lo, iteration.hi)
+        inflate(model, ec, bounds, objective, 1e-9, cache)
+        inflated = (iteration.lo, iteration.hi)
         assert list(cache) == [ec]
+        assert cache[ec] is iteration
         assert inflated == deflated
 
     def test_split_value_bracket_stalls(self):
         model = split_value_mec_model()
         (mec,) = mec_decompose(model).mecs
-        candidate = SecCandidate(mec, MAX)
-        cache = {}
-        lo, hi = staying_bounds(
-            model, candidate, Objective.mean_payoff(model), 1e-9, cache
-        )
+        lo, hi = staying_bounds(model, mec, Objective.mean_payoff(model), 1e-9, {})
         # The restricted system has per-state values 10 and 0; the bracket
         # can never close below their spread.
         assert hi - lo >= 10.0 - 1e-6
@@ -301,7 +304,7 @@ class TestStayingBracket:
         precision = 2.5e-7
         cache = {}
         for _ in range(10):
-            lo, hi = staying_bounds(model, SecCandidate(mec, MAX), objective, precision, cache)
+            lo, hi = staying_bounds(model, mec, objective, precision, cache)
         assert hi - lo <= precision
         plain = _StayingIteration.compile(model, mec)
         for _ in range(10):
@@ -311,6 +314,31 @@ class TestStayingBracket:
         for _ in range(10):
             settled = plain_staying(plain, 1e-12)
         assert lo <= settled[0] <= settled[1] <= hi
+
+    def test_no_extrapolant_blows_up_the_iterate(self, monkeypatch):
+        """A step rounds ``T(x) - x`` by about one ulp of ``x``, so an
+        extrapolant far larger than the iterate it replaces breaks the
+        bracket.  Unguarded, CE on stream game #3 accepted one 2.1e4 times
+        wider than the iterate; every accepted one widens it at most
+        ``SPREAD_GROWTH``-fold."""
+        real = ecsolve._extrapolate
+        accepted = []
+
+        def spying(xs):
+            extrapolant = real(xs)
+            if extrapolant is not None:
+                accepted.append((spread(extrapolant), spread(xs[-1])))
+            return extrapolant
+
+        monkeypatch.setattr(ecsolve, "_extrapolate", spying)
+        model, objective = stream_game(3)
+        assert solve_ce(model, objective).converged
+        assert accepted
+        assert all(new <= ecsolve.SPREAD_GROWTH * old for new, old in accepted)
+
+
+def spread(x):
+    return max(x) - min(x)
 
 
 class TestSplitCandidates:
@@ -324,44 +352,38 @@ class TestSplitCandidates:
         monkeypatch.setattr(ecsolve, "_extrapolate", no_extrapolation)
         model = split_value_mec_model()
         (mec,) = mec_decompose(model).mecs
-        candidate = SecCandidate(mec, MAX)
         cache = {}
-        staying_bounds(model, candidate, Objective.mean_payoff(model), 1e-9, cache)
-        subs = split_candidates(model, candidate, cache[candidate.ec])
-        assert {sub.ec.states for sub in subs} == {
+        staying_bounds(model, mec, Objective.mean_payoff(model), 1e-9, cache)
+        subs = split_candidates(model, mec, MAX, cache[mec])
+        assert {sub.states for sub in subs} == {
             frozenset({0}),
             frozenset({1}),
         }
-        assert all(sub.beneficiary is MAX for sub in subs)
 
     def test_uniform_candidate_does_not_split(self):
         model = build_game(
             [MAX, MAX], [(dirac(1),), (dirac(0),)], [2.0, 4.0], 0
         )
-        candidate = SecCandidate(
-            EndComponent.of([0, 1], {0: (0,), 1: (0,)}), MAX
-        )
+        ec = EndComponent.of([0, 1], {0: (0,), 1: (0,)})
         cache = {}
-        staying_bounds(model, candidate, Objective.mean_payoff(model), 1e-9, cache)
-        assert split_candidates(model, candidate, cache[candidate.ec]) == []
+        staying_bounds(model, ec, Objective.mean_payoff(model), 1e-9, cache)
+        assert split_candidates(model, ec, MAX, cache[ec]) == []
 
 
 class TestBestExit:
     def test_maximizer_exit_on_upper_bound(self):
         model, _ = fig1_left()
-        candidate = SecCandidate(EndComponent.of([1], {1: (0,)}), MAX)
+        loop = EndComponent.of([1], {1: (0,)})
         bounds = BoundsVector([4.0, 4.0], [5.0, 10.0])
-        value, exit = best_exit(
-            model, candidate, bounds, Objective.mean_payoff(model)
-        )
+        value, exit = best_exit(model, loop, MAX, bounds, Objective.mean_payoff(model))
         assert value == 5.0
         assert exit == (1, 1)
 
     def test_no_exit_returns_degenerate_bound(self):
         model, _ = fig1_left()
-        candidate = SecCandidate(EndComponent.of([0], {0: (0,)}), MAX)
+        sink = EndComponent.of([0], {0: (0,)})
         objective = Objective.mean_payoff(model)
-        value, exit = best_exit(model, candidate, BoundsVector([4, 4], [5, 5]), objective)
+        value, exit = best_exit(model, sink, MAX, BoundsVector([4, 4], [5, 5]), objective)
         assert value == objective.value_floor()
         assert exit is None
 
@@ -369,20 +391,18 @@ class TestBestExit:
 class TestDeflateInflate:
     def test_deflate_fig1_left(self):
         model, _ = fig1_left()
-        candidate = SecCandidate(EndComponent.of([1], {1: (0,)}), MAX)
+        loop = EndComponent.of([1], {1: (0,)})
         bounds = BoundsVector([4.0, 4.0], [5.0, 10.0])
-        changed, exit = deflate(
-            model, candidate, bounds, Objective.mean_payoff(model), 1e-9
-        )
+        changed, exit = deflate(model, loop, bounds, Objective.mean_payoff(model), 1e-9, {})
         assert changed
         assert bounds.ub[1] == 5.0
         assert exit == (1, 1)
 
     def test_deflate_never_crosses_lower_bound(self):
         model, _ = fig1_left()
-        candidate = SecCandidate(EndComponent.of([1], {1: (0,)}), MAX)
+        loop = EndComponent.of([1], {1: (0,)})
         bounds = BoundsVector([4.5, 4.5], [5.0, 10.0])
-        deflate(model, candidate, bounds, Objective.mean_payoff(model), 1e-9)
+        deflate(model, loop, bounds, Objective.mean_payoff(model), 1e-9, {})
         assert bounds.ub[1] >= bounds.lb[1]
 
     def test_inflate_dual(self):
@@ -392,25 +412,13 @@ class TestDeflateInflate:
             [5.0, 6.0],
             1,
         )
-        candidate = SecCandidate(EndComponent.of([1], {1: (0,)}), MIN)
+        loop = EndComponent.of([1], {1: (0,)})
         bounds = BoundsVector([5.0, 4.0], [6.0, 6.0])
-        changed, exit = inflate(
-            model, candidate, bounds, Objective.mean_payoff(model), 1e-9
-        )
+        changed, exit = inflate(model, loop, bounds, Objective.mean_payoff(model), 1e-9, {})
         assert changed
         # Minimizer prefers the reward-5 exit over staying at 6.
         assert bounds.lb[1] == 5.0
         assert exit == (1, 1)
-
-    def test_wrong_beneficiary_rejected(self):
-        model, _ = fig1_left()
-        candidate = SecCandidate(EndComponent.of([1], {1: (0,)}), MIN)
-        bounds = BoundsVector([4.0, 4.0], [5.0, 5.0])
-        with pytest.raises(ValueError):
-            deflate(model, candidate, bounds, Objective.mean_payoff(model), 1e-9)
-        candidate = SecCandidate(EndComponent.of([1], {1: (0,)}), MAX)
-        with pytest.raises(ValueError):
-            inflate(model, candidate, bounds, Objective.mean_payoff(model), 1e-9)
 
     def test_soundness_on_random_games(self, rng):
         """Deflating any candidate never pushes the upper bound below the
@@ -461,8 +469,8 @@ class TestDeflateInflate:
                     [v + rng.choice([0.0, rng.uniform(0.0, width)]) for v in values],
                 )
                 precision = rng.choice([1e-9, 1e-3, width / 8.0])
-                deflate(work, SecCandidate(mec, MAX), bounds, objective, precision)
-                inflate(work, SecCandidate(mec, MIN), bounds, objective, precision)
+                deflate(work, mec, bounds, objective, precision, {})
+                inflate(work, mec, bounds, objective, precision, {})
                 for s in work.states():
                     assert bounds.lb[s] - 1e-9 <= values[s] <= bounds.ub[s] + 1e-9
         assert kinds == {ObjectiveKind.REACHABILITY, ObjectiveKind.SAFETY, ObjectiveKind.MEAN_PAYOFF}
@@ -689,10 +697,10 @@ class TestProcessSkip:
         run rather than repeat the exits of the split."""
         real_inflate = ecsolve.inflate
 
-        def narrowing_inflate(model, candidate, bounds, objective, precision, cache):
+        def narrowing_inflate(model, ec, bounds, objective, precision, cache):
             for iteration in cache.values():
                 iteration.lo = iteration.hi
-            return real_inflate(model, candidate, bounds, objective, precision, cache)
+            return real_inflate(model, ec, bounds, objective, precision, cache)
 
         monkeypatch.setattr(ecsolve, "inflate", narrowing_inflate)
 
@@ -727,7 +735,7 @@ class TestProcessSkip:
                     iteration.hi - iteration.lo
                     for cands in tracker.candidates.values()
                     for c in cands
-                    if (iteration := tracker.staying_cache.get(c.ec)) is not None
+                    if (iteration := tracker.staying_cache.get(c)) is not None
                 ]
                 assert all(w <= tracker.precision for w in widths)
                 quiet.append(bool(widths))

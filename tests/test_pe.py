@@ -321,6 +321,45 @@ def test_stream_game_46_takes_few_staying_steps():
     assert ce.lower <= partial.upper and partial.lower <= ce.upper
 
 
+# (game, solver): float.hex of lower and upper, iterations and staying steps,
+# pinned with the extrapolation's spread guard in place, on Python 3.11.  #3,
+# #39 and #79 split, absorb and extrapolate; #7 is PE absorbing on
+# reachability; #24 and #94 are safety; #115 reaches CE's candidate search.
+# The extrapolation sums through ``sum``, which compensates rounding from
+# Python 3.12, so there #3 and #79 get other bits.
+STREAM_PINS = {
+    (3, "ce"): ("0x1.7cfa50ee9bfa0p+2", "0x1.7cfa51556adfep+2", 1, 507),
+    (3, "pe"): ("0x1.7cfa50ee9bfa0p+2", "0x1.7cfa51556adfep+2", 4, 878),
+    (39, "ce"): ("0x1.359f1c3f44df9p+2", "0x1.359f23cb3bed3p+2", 126, 261),
+    (39, "pe"): ("0x1.359f1adffb7fcp+2", "0x1.359f2298375a3p+2", 123, 197),
+    (79, "ce"): ("0x1.9a1fef292964cp+1", "0x1.9a1fef303e200p+1", 2, 428),
+    (79, "pe"): ("0x1.9a1fef2929640p+1", "0x1.9a1fef29c1e00p+1", 95, 535),
+    (7, "ce"): ("0x1.889199f0a63b0p-1", "0x1.8891dbe61eb8cp-1", 280, 0),
+    (7, "pe"): ("0x1.88919efc18ab5p-1", "0x1.8891d8cc7f646p-1", 79, 0),
+    (24, "ce"): ("0x0.0p+0", "0x0.0p+0", 1, 0),
+    (24, "pe"): ("0x0.0p+0", "0x1.71485be000000p-20", 18, 0),
+    (94, "ce"): ("0x0.0p+0", "0x0.0p+0", 1, 0),
+    (94, "pe"): ("0x0.0p+0", "0x1.6a57cb4c80000p-20", 38, 0),
+    (115, "ce"): ("0x1.fffffffffffffp-1", "0x1.0000205ac9578p+0", 224, 209),
+    (115, "pe"): ("0x1.fffffffffffffp-1", "0x1.00001d5bf75eep+0", 206, 246),
+}
+
+
+@pytest.mark.parametrize("index, mode", sorted(STREAM_PINS))
+def test_stream_games_bit_for_bit(index, mode):
+    # A change that claims identical results on the stream keeps these.
+    model, objective = stream_game(index)
+    if mode == "ce":
+        result = solve_ce(model, objective)
+    else:
+        result = solve_pe(model, objective, seed=index, max_paths=200_000)
+    assert result.converged
+    got = (
+        result.lower.hex(), result.upper.hex(), result.iterations, result.stats["staying_steps"]
+    )
+    assert got == STREAM_PINS[index, mode]
+
+
 @pytest.mark.parametrize("rmin, rmax", [(0.0, 1.0), (float("nan"), 10.0)])
 def test_unsound_mean_payoff_range_rejected(rmin, rmax):
     # The rewards are 4 and 5 (``fig1_left``), and the value is 5.
