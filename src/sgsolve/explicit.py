@@ -16,16 +16,17 @@ Example document::
     action -> 3:1.0
     label goal = {2, 3}
 
-Blank lines and ``#`` comments are ignored.  ``parse`` of ``serialize``
-is the identity on (model, labels); floats are written with ``repr`` so
-the round trip is bit-exact.
+Blank lines and ``#`` comments are ignored.  The targets of an action may
+come in any order, and a target's repeated probabilities are summed.
+``parse`` of ``serialize`` is the identity on (model, labels); floats are
+written with ``repr`` so the round trip is bit-exact.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Optional, TextIO
+from typing import NoReturn, Optional, TextIO
 
 from .model import Distribution, GameModel, ModelError, Player, build_game
 
@@ -47,76 +48,86 @@ class ExplicitSyntaxError(Exception):
         self.column = column
 
 
-class _Lines:
-    def __init__(self, text: str):
-        self.raw = text.splitlines()
-        self.pos = 0
-
-    def next(self) -> Optional[tuple[int, str]]:
-        while self.pos < len(self.raw):
-            number = self.pos + 1
-            line = self.raw[self.pos]
-            self.pos += 1
-            stripped = line.split("#", 1)[0].strip()
-            if stripped:
-                return number, stripped
-        return None
-
-
-def _fail(line: int, message: str, column: int = 1):
+def _fail(line: int, message: str, column: int = 1) -> NoReturn:
     raise ExplicitSyntaxError(line, column, message)
 
 
-def _expect_int(token: str, line: int, what: str) -> int:
+def _expect(kind: type, token: str, line: int, what: str):
+    """``kind(token)``, an ``int`` or a ``float``, or a syntax error."""
     try:
-        return int(token)
+        return kind(token)
     except ValueError:
         _fail(line, f"expected {what}, got {token!r}")
 
 
-def _expect_float(token: str, line: int, what: str) -> float:
-    try:
-        return float(token)
-    except ValueError:
-        _fail(line, f"expected {what}, got {token!r}")
+def _state_error(parts: list[str], line: int, owners: list[Optional[Player]]) -> NoReturn:
+    """Raise the error of the first check that a bad state line fails."""
+    if len(parts) != 4:
+        _fail(line, "expected 'state <id> <MAX|MIN> reward=<value>'")
+    sid = _expect(int, parts[1], line, "state id")
+    if not 0 <= sid < len(owners):
+        _fail(line, f"state id {sid} out of range")
+    if owners[sid] is not None:
+        _fail(line, f"state {sid} declared twice")
+    if parts[2] not in _OWNER_NAMES:
+        _fail(line, f"unknown owner {parts[2]!r}, expected MAX or MIN")
+    if not parts[3].startswith("reward="):
+        _fail(line, "expected reward=<value>")
+    reward = _expect(float, parts[3][len("reward="):], line, "reward")
+    _fail(line, f"reward must be finite, got {reward!r}")
+
+
+def _action_error(parts: list[str], line: int, num_states: int) -> NoReturn:
+    """Raise the error of the first bad token of a bad action line."""
+    for token in parts[2:]:
+        if ":" not in token:
+            _fail(line, f"expected target:prob, got {token!r}")
+        target_text, prob_text = token.split(":", 1)
+        target = _expect(int, target_text, line, "target state")
+        if not 0 <= target < num_states:
+            _fail(line, f"target state {target} out of range")
+        prob = _expect(float, prob_text, line, "probability")
+        if not 0.0 < prob < math.inf:
+            _fail(line, f"probability must be positive and finite, got {prob!r}")
 
 
 def parse(text: str) -> tuple[GameModel, dict[str, frozenset[int]]]:
-    lines = _Lines(text)
+    raw = text.splitlines()
+    head: list[tuple[int, list[str]]] = []  # the first three non-blank lines
+    for number, line in enumerate(raw, 1):
+        parts = line.split("#", 1)[0].split()
+        if parts:
+            head.append((number, parts))
+            if len(head) == 3:
+                break
 
-    item = lines.next()
-    if item is None:
+    if not head:
         _fail(1, "empty document")
-    number, header = item
-    parts = header.split()
+    number, parts = head[0]
     if len(parts) != 2 or parts[0] != FORMAT_NAME:
         _fail(number, f"expected header {FORMAT_NAME!r} <version>")
-    if _expect_int(parts[1], number, "format version") != FORMAT_VERSION:
+    if _expect(int, parts[1], number, "format version") != FORMAT_VERSION:
         _fail(number, f"unsupported format version {parts[1]}")
 
-    item = lines.next()
-    if item is None:
+    if len(head) < 2:
         _fail(number, "missing 'states' declaration")
-    number, line = item
-    parts = line.split()
+    number, parts = head[1]
     if len(parts) != 2 or parts[0] != "states":
         _fail(number, "expected 'states <count>'")
-    num_states = _expect_int(parts[1], number, "state count")
+    num_states = _expect(int, parts[1], number, "state count")
     if num_states < 1:
         _fail(number, "state count must be positive")
     # Every state needs a line of its own, so a larger count cannot be
     # right; rejecting it here keeps the per-state lists below small.
-    if num_states > len(lines.raw):
-        _fail(number, f"state count {num_states} exceeds the document's {len(lines.raw)} lines")
+    if num_states > len(raw):
+        _fail(number, f"state count {num_states} exceeds the document's {len(raw)} lines")
 
-    item = lines.next()
-    if item is None:
+    if len(head) < 3:
         _fail(number, "missing 'initial' declaration")
-    number, line = item
-    parts = line.split()
+    number, parts = head[2]
     if len(parts) != 2 or parts[0] != "initial":
         _fail(number, "expected 'initial <state>'")
-    initial = _expect_int(parts[1], number, "initial state")
+    initial = _expect(int, parts[1], number, "initial state")
     if not 0 <= initial < num_states:
         _fail(number, f"initial state {initial} out of range")
 
@@ -126,51 +137,56 @@ def parse(text: str) -> tuple[GameModel, dict[str, frozenset[int]]]:
     labels: dict[str, frozenset[int]] = {}
     current: Optional[int] = None
 
-    while True:
-        item = lines.next()
-        if item is None:
-            break
-        number, line = item
+    # Each line is converted in one ``try``; a line that fails any check
+    # is scanned again by a helper that raises the first check's error.
+    for number, line in enumerate(raw[number:], number + 1):  # after 'initial'
+        if "#" in line:
+            line = line.split("#", 1)[0]
         parts = line.split()
+        if not parts:
+            continue
         keyword = parts[0]
-        if keyword == "state":
-            if len(parts) != 4:
-                _fail(number, "expected 'state <id> <MAX|MIN> reward=<value>'")
-            sid = _expect_int(parts[1], number, "state id")
-            if not 0 <= sid < num_states:
-                _fail(number, f"state id {sid} out of range")
-            if owners[sid] is not None:
-                _fail(number, f"state {sid} declared twice")
-            if parts[2] not in _OWNER_NAMES:
-                _fail(number, f"unknown owner {parts[2]!r}, expected MAX or MIN")
-            if not parts[3].startswith("reward="):
-                _fail(number, "expected reward=<value>")
-            owners[sid] = _OWNER_NAMES[parts[2]]
-            reward = _expect_float(parts[3][len("reward="):], number, "reward")
-            if not math.isfinite(reward):
-                _fail(number, f"reward must be finite, got {reward!r}")
-            rewards[sid] = reward
-            current = sid
-        elif keyword == "action":
+        if keyword == "action":
             if current is None:
                 _fail(number, "action before any state declaration")
             if len(parts) < 3 or parts[1] != "->":
                 _fail(number, "expected 'action -> target:prob ...'")
             pairs = []
-            for token in parts[2:]:
-                if ":" not in token:
-                    _fail(number, f"expected target:prob, got {token!r}")
-                target_text, prob_text = token.split(":", 1)
-                target = _expect_int(target_text, number, "target state")
-                if not 0 <= target < num_states:
-                    _fail(number, f"target state {target} out of range")
-                prob = _expect_float(prob_text, number, "probability")
-                if not 0.0 < prob < math.inf:
-                    _fail(number, f"probability must be positive and finite, got {prob!r}")
-                pairs.append((target, prob))
-            action_lists[current].append(Distribution.of(pairs))
+            ascending = True
+            last = -1
+            try:
+                for token in parts[2:]:
+                    target_text, _, prob_text = token.partition(":")
+                    target = int(target_text)
+                    prob = float(prob_text)
+                    if not (0 <= target < num_states and 0.0 < prob < math.inf):
+                        raise ValueError
+                    if target <= last:
+                        ascending = False
+                    last = target
+                    pairs.append((target, prob))
+            except ValueError:
+                _action_error(parts, number, num_states)
+            # Strictly ascending targets are already the support that
+            # ``Distribution.of`` would build; others it merges and sorts.
+            action_lists[current].append(
+                Distribution(tuple(pairs)) if ascending else Distribution.of(pairs)
+            )
+        elif keyword == "state":
+            try:
+                _, sid_text, owner, reward_text = parts
+                sid = int(sid_text)
+                reward = float(reward_text[len("reward="):])
+                if not (0 <= sid < num_states and owners[sid] is None and owner in _OWNER_NAMES
+                        and reward_text.startswith("reward=") and -math.inf < reward < math.inf):
+                    raise ValueError
+            except ValueError:
+                _state_error(parts, number, owners)
+            owners[sid] = _OWNER_NAMES[owner]
+            rewards[sid] = reward
+            current = sid
         elif keyword == "label":
-            match = re.match(r"label\s+(\S+)\s*=\s*\{(.*)\}\s*\Z", line)
+            match = re.match(r"label\s+(\S+)\s*=\s*\{(.*)\}\s*\Z", line.strip())
             if match is None:
                 _fail(number, "expected 'label <name> = {id, ...}'")
             name = match.group(1)
@@ -189,7 +205,7 @@ def parse(text: str) -> tuple[GameModel, dict[str, frozenset[int]]]:
                 elif _LABEL_NAME.match(token):
                     _fail(number, f"undefined label reference {token!r}")
                 else:
-                    sid = _expect_int(token, number, "label state")
+                    sid = _expect(int, token, number, "label state")
                     if not 0 <= sid < num_states:
                         _fail(number, f"label state {sid} out of range")
                     members.add(sid)
@@ -199,14 +215,14 @@ def parse(text: str) -> tuple[GameModel, dict[str, frozenset[int]]]:
 
     for sid in range(num_states):
         if owners[sid] is None:
-            _fail(len(lines.raw) or 1, f"state {sid} never declared")
+            _fail(len(raw) or 1, f"state {sid} never declared")
         if not action_lists[sid]:
-            _fail(len(lines.raw) or 1, f"state {sid} has no actions")
+            _fail(len(raw) or 1, f"state {sid} has no actions")
 
     try:
         model = build_game(owners, action_lists, rewards, initial)
     except ModelError as exc:
-        _fail(len(lines.raw) or 1, str(exc))
+        _fail(len(raw) or 1, str(exc))
     return model, labels
 
 

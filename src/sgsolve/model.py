@@ -97,7 +97,10 @@ class Distribution:
         return Distribution(((target, 1.0),))
 
     def total(self) -> float:
-        return sum(p for _, p in self.support)
+        total = 0.0
+        for _, p in self.support:
+            total += p
+        return total
 
     def is_self_loop(self, state: int) -> bool:
         return self.support == ((state, 1.0),)

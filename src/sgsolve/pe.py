@@ -38,6 +38,8 @@ bounds are bit for bit those of two full sweeps (see ``_sweep``).
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import add
 from typing import Callable, Optional
 
 from .bounds import (
@@ -121,11 +123,12 @@ def _sample_successor(
     support = dist.support
     if exit is not None:
         support = [(t, p) for t, p in support if exit not in memory.get(t, ())] or support
+    # Left folds from 0.0: the bits of 3.11's ``sum`` on every version.
     weights = [p * part.bounds.gap(t) for t, p in support]
-    total = sum(weights)
+    total = reduce(add, weights, 0.0)
     if total <= 0.0:
         weights = [p for _, p in support]
-        total = sum(weights)
+        total = reduce(add, weights, 0.0)
     pick = rng.random() * total
     acc = 0.0
     for (t, _), w in zip(support, weights):
@@ -168,8 +171,8 @@ def sample_path(
             # successors have the most remaining uncertainty; still record
             # the current state so backpropagation keeps updating it.
             def _exit_weight(exit):
-                s, a = exit
-                return sum(p * part.bounds.gap(t) for t, p in model.distribution(s, a).support)
+                support = model.distribution(*exit).support
+                return reduce(add, (p * part.bounds.gap(t) for t, p in support), 0.0)
 
             exit = max(entries, key=_exit_weight)
             from_state, action = exit

@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_game
+from conftest import random_game, relabelled
+from sgsolve import generators
 from sgsolve.explicit import ExplicitSyntaxError, parse, serialize
+from sgsolve.model import Distribution
 
 DOC = """\
 # a small example
@@ -208,6 +210,24 @@ def test_round_trip_is_identity_on_random_games(seed):
             "action -> 0:1.0\nstate 1 MIN reward=0\n",
             "line 6, column 1: state 1 has no actions",
         ),
+        # A line with several bad tokens reports the first one.
+        *(
+            ("sg-explicit 1\nstates 2\ninitial 0\nstate 0 MAX reward=0\n" + line + "\n",
+             "line 5, column 1: " + message)
+            for line, message in [
+                ("action -> 0:abc x:0.5", "expected probability, got 'abc'"),
+                ("action -> 0:0.5 x:abc 1", "expected target state, got 'x'"),
+                ("action -> 0:0.5 1 x:abc", "expected target:prob, got '1'"),
+                ("action -> 1:0.5 0:-1 7:0.5", "probability must be positive and finite, got -1.0"),
+                ("action -> 1:0.5 7:0.5 0:-1", "target state 7 out of range"),
+                ("state x BOTH reward=nan", "expected state id, got 'x'"),
+                ("state 0 BOTH reward=nan", "state 0 declared twice"),
+                ("state 1 BOTH reward=nan", "unknown owner 'BOTH', expected MAX or MIN"),
+                ("state 1 MIN cost=oops", "expected reward=<value>"),
+                ("state 1 MIN reward=oops", "expected reward, got 'oops'"),
+                ("state 1 MIN reward=-inf", "reward must be finite, got -inf"),
+            ]
+        ),
     ],
 )
 def test_syntax_errors(text, fragment):
@@ -229,3 +249,56 @@ def test_comments_and_blank_lines_ignored():
     model, labels = parse(text)
     assert model.num_states == 1
     assert labels == {}
+
+
+def exact(model, labels):
+    """Everything ``parse`` builds, with every float as ``float.hex``."""
+    return (
+        model.owners,
+        [r.hex() for r in model.rewards],
+        model.initial,
+        [[[(t, p.hex()) for t, p in d.support] for d in dists] for dists in model.actions],
+        labels,
+    )
+
+
+ONE_STATE = "sg-explicit 1\nstates 2\ninitial 0\nstate 0 MAX reward=0\n"
+
+
+@pytest.mark.parametrize(
+    "entries",
+    ["1:0.25 0:0.5 1:0.25", "1:0.5 0:0.5", "0:0.5 0:0.5", "0:0.125 1:0.375 1:0.5"],
+)
+def test_unsorted_and_duplicate_targets_merge_as_distribution_of_does(entries):
+    model, _ = parse(ONE_STATE + f"action -> {entries}\nstate 1 MIN reward=0\naction -> 1:1.0\n")
+    pairs = [(int(t), float(p)) for t, p in (token.split(":") for token in entries.split())]
+    support = Distribution.of(pairs).support
+    assert [(t, p.hex()) for t, p in model.distribution(0, 0).support] == [
+        (t, p.hex()) for t, p in support
+    ]
+    assert [t for t, _ in support] == sorted({t for t, _ in pairs})
+
+
+# The families and tiny sizes of the benchmark's workloads.
+WORKLOAD_GAMES = [
+    ("dicerace", {"target": 6}),
+    ("treemulsec", {"n": 3}),
+    ("treebigmec", {"n": 3}),
+    ("fig2chain", {"k": 3}),
+]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 11])
+@pytest.mark.parametrize("family, params", WORKLOAD_GAMES, ids=[f for f, _ in WORKLOAD_GAMES])
+def test_round_trip_is_bit_exact_on_relabelled_workload_games(family, params, seed):
+    model, labels = relabelled(*generators.generate(family, **params), seed)
+    assert exact(*parse(serialize(model, labels))) == exact(model, labels)
+
+
+def test_a_distribution_sum_error_reports_the_last_line():
+    text = ONE_STATE + "action -> 1:0.5\nstate 1 MIN reward=0\naction -> 1:1.0\n"
+    text += "label g = {1}\n\n# the end\n"
+    with pytest.raises(ExplicitSyntaxError) as info:
+        parse(text)
+    assert info.value.line == 10
+    assert str(info.value) == "line 10, column 1: distribution of state 0, action 0 sums to 0.5"
