@@ -183,6 +183,7 @@ def solve_ce(
         i for i, states in enumerate(components) if _widest_gap(lb, ub, states) > epsilon
     ]
     trackers: list[list[MecTracker]] = [[] for _ in components]
+    staying_cache: dict = {}
     if enable_deflation:
         # A MEC lies inside one SCC, so a search per SCC, which needs no
         # Tarjan of its own, finds them all.  An SCC holds one only if an
@@ -192,7 +193,7 @@ def solve_ce(
             c = components[i]
             if _some_action_stays(work, c):
                 trackers[i] = [
-                    MecTracker(mec, working_objective, epsilon)
+                    MecTracker(mec, working_objective, epsilon, staying_cache)
                     for mec in mec_decompose(work, c, strongly_connected=True).mecs
                 ]
     # Every tracker, also those dropped once their component is resolved.
@@ -251,7 +252,7 @@ def solve_ce(
         state_map=tuple(range(model.num_states)),
         stats={
             "working_states": work.num_states,
-            "staying_steps": sum(tracker.staying_steps for tracker in made),
+            "staying_steps": sum(iteration.steps for iteration in staying_cache.values()),
             "end_components": len(made),
             "settled_whole": sum(tracker.settled_whole for tracker in made),
         },

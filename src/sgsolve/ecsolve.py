@@ -498,20 +498,17 @@ class MecTracker:
     iteration runs to ``precision``, epsilon/4, for the tracker's whole
     life: the bracket is sound at any precision, which only bounds how
     long a call iterates, and each call runs a bounded number of steps.
-    The staying cache holds one iteration per end component (keyed by the
+    ``staying_cache`` is the solve's one staying cache, shared by all its
+    trackers: one iteration per end component (keyed by the
     ``EndComponent`` itself), compiled once and shared by deflation and
-    inflation of it, whichever player's candidate it is.  An
-    iteration is kept for the tracker's whole life, also while its end
-    component is no candidate, so a candidate that comes back resumes it.
-    That is sound: the bracket holds from any finite iterate (see
-    ``_StayingIteration``), and the key fixes the internal actions the
-    iteration runs on.  When partial exploration grows the MEC, the whole
-    cache is handed over to the tracker of the grown MEC (``absorb``).
-
-    ``staying_steps`` is the number of plain steps that the cached
-    iterations have run, those an absorbed iteration ran before included.
-    A tracker that handed its cache over is dropped, so summing over the
-    live trackers counts every step once.
+    inflation of it, whichever player's candidate it is.  An iteration is
+    kept for the whole solve, also while its end component is no
+    candidate, so a candidate that comes back resumes it.  That is sound:
+    the bracket holds from any finite iterate (see ``_StayingIteration``),
+    and the key fixes the internal actions the iteration runs on.  The end
+    components of different MECs are disjoint, so no two trackers share a
+    key; when partial exploration grows a MEC, the tracker of the grown
+    MEC finds each iteration of the old one under its key.
 
     A ``process`` call that changes no bound and leaves no candidate's
     staying bracket wider than ``precision`` (such a candidate is passed
@@ -521,12 +518,18 @@ class MecTracker:
     all that ``_nothing_to_do`` compares, since brackets never widen.
     """
 
-    def __init__(self, mec: EndComponent, objective: Objective, epsilon: float):
+    def __init__(
+        self,
+        mec: EndComponent,
+        objective: Objective,
+        epsilon: float,
+        staying_cache: dict[EndComponent, _StayingIteration],
+    ):
         self.mec = mec
         self.objective = objective
         self.epsilon = epsilon
         self.precision = epsilon / 4.0
-        self.staying_cache: dict[EndComponent, _StayingIteration] = {}
+        self.staying_cache = staying_cache
         self.candidates: Optional[dict[Player, list[EndComponent]]] = None
         self.settled_whole = False
         self._settled = False
@@ -551,10 +554,6 @@ class MecTracker:
                 )
             )
         return tuple(parts)
-
-    @property
-    def staying_steps(self) -> int:
-        return sum(iteration.steps for iteration in self.staying_cache.values())
 
     def refresh_candidates(self, model: GameModel, bounds: BoundsVector) -> None:
         """Derive the candidates anew if the recommender signature changed.
@@ -701,10 +700,3 @@ class MecTracker:
         if quiet:
             self._remember_quiet(model, bounds)
         return used
-
-    def absorb(self, other: "MecTracker") -> None:
-        """Take over the staying cache of a tracker whose MEC this one's
-        holds (partial-exploration growth).  Each cached end component is
-        still an end component there, with the same internal actions, so
-        its iteration resumes soundly; ``other`` is then dropped."""
-        self.staying_cache.update(other.staying_cache)

@@ -226,6 +226,7 @@ def _refresh_components(
     memory: Memory,
     use_memory: bool,
     epsilon: float,
+    staying_cache: dict,
 ) -> list[MecTracker]:
     """Bring the MECs of the explored region up to date, then de-/inflate
     every component that is not yet settled.
@@ -236,15 +237,12 @@ def _refresh_components(
     (``_changed_region``): any other SCC was an SCC then, with the same
     internal edges, so its MECs and their trackers stand as they are.  A
     decomposed MEC keeps the tracker of an equal old one; any other gets a
-    new tracker.  Each old tracker that kept no MEC hands its whole staying
-    cache to the tracker of the one new MEC that holds its states
-    (``MecTracker.absorb``) and is dropped.  That MEC exists and is
-    unique: the region only grows, so the old MEC is still an end
-    component and lies in exactly one MEC, which strictly holds it and so
-    is no old MEC, since old MECs are disjoint.  The handed-over
-    iterations resume soundly, each on the same end component.  The result
-    equals ``mec_decompose(model, restrict_to=part.explored)``, in its
-    order.
+    new tracker on the solve's ``staying_cache``, and an old tracker that
+    kept no MEC is dropped.  The region only grows, so each end component
+    cached so far is still one, with the same internal actions, and the
+    tracker of the grown MEC that holds it resumes its iteration soundly.
+    The result equals ``mec_decompose(model, restrict_to=part.explored)``,
+    in its order.
 
     A settled tracker (``MecTracker.settled``, which remembers a True
     answer) is not processed; it stays in the returned list.  A
@@ -272,16 +270,11 @@ def _refresh_components(
                 fresh.append(tracker)
                 continue
             old_by_mec[tracker.mec] = tracker
-        # The tracker made for each new MEC, by state.
-        holder: dict[int, MecTracker] = {}
         for mec in mec_decompose(model, restrict_to=region).mecs:
-            tracker = old_by_mec.pop(mec, None)
+            tracker = old_by_mec.get(mec)
             if tracker is None:
-                tracker = MecTracker(mec, objective, epsilon)
-                holder.update(dict.fromkeys(mec.states, tracker))
+                tracker = MecTracker(mec, objective, epsilon, staying_cache)
             fresh.append(tracker)
-        for old in old_by_mec.values():
-            holder[next(iter(old.mec.states))].absorb(old)
         fresh.sort(key=lambda tracker: min(tracker.mec.states))
     for tracker in fresh:
         if tracker.settled(part.bounds):
@@ -362,12 +355,10 @@ def solve_pe(
     component refreshes (``refreshes``), the total size of the regions
     they passed to ``mec_decompose`` (``decomposed_states``), the number
     of ``state_update`` calls their change-driven sweeps made
-    (``sweep_updates``) and the number of staying-value steps the
-    trackers ran (``staying_steps``), those of dropped trackers included:
-    a tracker keeps each staying iteration for its whole life and hands
-    them over whole when its component grows, so the last trackers hold
-    them all.  Both are sound, as a staying bracket holds from any finite
-    iterate and a grown component keeps each cached end component."""
+    (``sweep_updates``) and the number of staying-value steps run
+    (``staying_steps``), those of dropped trackers included: the solve
+    keeps one staying cache, which every tracker shares (see
+    ``MecTracker``)."""
     check_epsilon(epsilon)
     if not max_paths >= 1:
         raise ValueError(f"max_paths must be at least 1, got {max_paths}")
@@ -379,6 +370,7 @@ def solve_pe(
     part.expand(work.initial)
     memory: Memory = {}
     trackers: list[MecTracker] = []
+    staying_cache: dict = {}
     paths = 0
     refreshes = 0
     done = False
@@ -393,7 +385,7 @@ def solve_pe(
             refreshes += 1
             trackers = _refresh_components(
                 work, part, query.objective, trackers, memory, use_deflate_memory,
-                epsilon,
+                epsilon, staying_cache,
             )
             _backpropagate(work, part, path)
         if instrument is not None:
@@ -418,6 +410,6 @@ def solve_pe(
             "refreshes": refreshes,
             "decomposed_states": part.decomposed_states,
             "sweep_updates": part.sweep_updates,
-            "staying_steps": sum(tracker.staying_steps for tracker in trackers),
+            "staying_steps": sum(iteration.steps for iteration in staying_cache.values()),
         },
     ))

@@ -437,7 +437,7 @@ class TestDeflateInflate:
                 [objective.rmax] * model.num_states,
             )
             for mec in mec_decompose(model).mecs:
-                tracker = MecTracker(mec, objective, 1e-6)
+                tracker = MecTracker(mec, objective, 1e-6, {})
                 for _ in range(5):
                     tracker.process(model, bounds)
             for s in model.states():
@@ -481,7 +481,7 @@ class TestMecTracker:
         model = split_value_mec_model()
         (mec,) = mec_decompose(model).mecs
         objective = Objective.mean_payoff(model)
-        tracker = MecTracker(mec, objective, 1e-6)
+        tracker = MecTracker(mec, objective, 1e-6, {})
         bounds = BoundsVector([0.0, 0.0], [10.0, 10.0])
         for _ in range(60):
             tracker.process(model, bounds)
@@ -490,24 +490,20 @@ class TestMecTracker:
         assert bounds.lb[0] == pytest.approx(10.0, abs=1e-6)
         assert bounds.ub[1] == pytest.approx(0.0, abs=1e-6)
 
-    def test_candidates_and_absorb(self):
+    def test_candidates(self):
         model = split_value_mec_model()
         (mec,) = mec_decompose(model).mecs
         objective = Objective.mean_payoff(model)
-        tracker = MecTracker(mec, objective, 1e-6)
+        tracker = MecTracker(mec, objective, 1e-6, {})
         assert tracker.candidates is None
         bounds = BoundsVector([0.0, 0.0], [10.0, 10.0])
         tracker.process(model, bounds)
         assert any(tracker.candidates.values())
-        grown = MecTracker(mec, objective, 1e-6)
-        grown.absorb(tracker)
-        assert grown.staying_cache[mec] is tracker.staying_cache[mec]
-        assert grown.staying_steps == tracker.staying_steps > 0
 
     def test_keeps_every_iteration_it_compiled(self, monkeypatch):
         """The candidates of the split-value MEC change as its bounds
         close; an end component that stops being a candidate keeps its
-        staying iteration, and ``staying_steps`` counts the steps of all."""
+        staying iteration in the cache."""
         compiled = []
         compile_ = _StayingIteration.compile
 
@@ -518,7 +514,7 @@ class TestMecTracker:
         monkeypatch.setattr(_StayingIteration, "compile", staticmethod(recording))
         model = split_value_mec_model()
         (mec,) = mec_decompose(model).mecs
-        tracker = MecTracker(mec, Objective.mean_payoff(model), 1e-6)
+        tracker = MecTracker(mec, Objective.mean_payoff(model), 1e-6, {})
         bounds = BoundsVector([0.0, 0.0], [10.0, 10.0])
         for _ in range(60):
             tracker.process(model, bounds)
@@ -526,15 +522,15 @@ class TestMecTracker:
         cached = list(tracker.staying_cache.values())
         assert len(compiled) > 1
         assert all(any(it is c for c in cached) for it in compiled)
-        assert tracker.staying_steps == sum(it.steps for it in compiled) > 0
+        assert sum(it.steps for it in compiled) > 0
 
     def test_settled(self):
         model = split_value_mec_model()
         (mec,) = mec_decompose(model).mecs
         objective = Objective.mean_payoff(model)
-        tracker = MecTracker(mec, objective, 1e-6)
+        tracker = MecTracker(mec, objective, 1e-6, {})
         assert tracker.settled(BoundsVector([10.0, 0.0], [10.0, 1e-6]))
-        tracker = MecTracker(mec, objective, 1e-6)
+        tracker = MecTracker(mec, objective, 1e-6, {})
         assert not tracker.settled(BoundsVector([10.0, 0.0], [10.0, 2e-6]))
         # Gaps never widen, so a True answer is remembered.
         assert tracker.settled(BoundsVector([10.0, 0.0], [10.0, 1e-6]))
@@ -576,7 +572,7 @@ class TestRefreshCandidates:
         bounds = BoundsVector(
             [objective.value_floor()] * n, [objective.value_ceiling()] * n
         )
-        trackers = [MecTracker(mec, objective, 1e-6) for mec in mec_decompose(model).mecs]
+        trackers = [MecTracker(mec, objective, 1e-6, {}) for mec in mec_decompose(model).mecs]
         made = all_four = 0
         for _ in range(rounds):
             for s in model.states():
@@ -682,7 +678,7 @@ class TestProcessSkip:
         # it, and no de-/inflation moves them.
         model, _ = fig1_left()
         loop = mec_decompose(model).mecs[1]
-        tracker = MecTracker(loop, Objective.mean_payoff(model), 1e-6)
+        tracker = MecTracker(loop, Objective.mean_payoff(model), 1e-6, {})
         bounds = BoundsVector([5.0, 4.5], [5.0, 5.0])
         ((states, exit),) = tracker.process(model, bounds)
         assert states == loop.states
@@ -707,7 +703,7 @@ class TestProcessSkip:
         def two_calls():
             model = split_value_mec_model()
             (mec,) = mec_decompose(model).mecs
-            tracker = MecTracker(mec, Objective.mean_payoff(model), 1e-6)
+            tracker = MecTracker(mec, Objective.mean_payoff(model), 1e-6, {})
             bounds = BoundsVector([5.0, 5.0], [5.0, 5.0])
             # With candidates already searched, ``process`` skips the
             # whole-MEC step, which would settle these closed bounds.
@@ -748,7 +744,7 @@ class TestProcessSkip:
         for order in (0, 1):
             model = split_value_mec_model(order, order)
             (mec,) = mec_decompose(model).mecs
-            tracker = MecTracker(mec, Objective.mean_payoff(model), 1e-6)
+            tracker = MecTracker(mec, Objective.mean_payoff(model), 1e-6, {})
             bounds = BoundsVector([5.0, 5.0], [5.0, 5.0])
             tracker.refresh_candidates(model, bounds)
             for _ in range(3):

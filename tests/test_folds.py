@@ -19,7 +19,6 @@ SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "sgsolve").gl
 ALLOWED = {
     # Integer counts in the solvers' stats.
     ("ce.py", "solve_ce"): 2,
-    ("ecsolve.py", "MecTracker.staying_steps"): 1,
     ("pe.py", "solve_pe"): 1,
     # The oracle keeps ``sum``: it is an independent reference whose
     # values the tests compare within a tolerance (or, for exact games, at

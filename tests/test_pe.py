@@ -13,10 +13,10 @@ from conftest import (
     stream_game,
     tree_compl_value,
 )
-from sgsolve import pe
+from sgsolve import ecsolve, pe
 from sgsolve.bounds import state_update
 from sgsolve.ce import solve_ce
-from sgsolve.ecsolve import MecTracker
+from sgsolve.ecsolve import MecTracker, _StayingIteration
 from sgsolve.generators import fig1_left, fig1_right, fig2_chain, generate
 from sgsolve.graph import mec_decompose, scc_decompose
 from sgsolve.model import build_game
@@ -226,27 +226,86 @@ def test_infinite_epsilon_rejected(epsilon):
         solve_pe(model, Objective.reachability(labels["goal"]), epsilon=epsilon)
 
 
+@pytest.fixture
+def staying_work(monkeypatch):
+    """Records, for every staying iteration a solve compiles, the tracker
+    whose ``process`` call compiled it, its end component, the iteration
+    and the trackers whose calls read it (``staying_bounds``); also the
+    trackers that the last component refresh returned."""
+    record = {"compiled": [], "read": {}, "last": []}
+    current = [None]
+    real_process = MecTracker.process
+    real_refresh = pe._refresh_components
+    compile_ = _StayingIteration.compile
+    real_staying = ecsolve.staying_bounds
+
+    def process(tracker, model, bounds):
+        current[0] = tracker
+        try:
+            return real_process(tracker, model, bounds)
+        finally:
+            current[0] = None
+
+    def refresh(*args):
+        record["last"] = real_refresh(*args)
+        return record["last"]
+
+    def compiling(model, ec):
+        iteration = compile_(model, ec)
+        record["compiled"].append((current[0], ec, iteration))
+        record["read"][id(iteration)] = set()
+        return iteration
+
+    def staying(model, ec, objective, precision, cache, *args):
+        bracket = real_staying(model, ec, objective, precision, cache, *args)
+        if ec in cache:
+            record["read"][id(cache[ec])].add(current[0])
+        return bracket
+
+    monkeypatch.setattr(MecTracker, "process", process)
+    monkeypatch.setattr(pe, "_refresh_components", refresh)
+    monkeypatch.setattr(_StayingIteration, "compile", staticmethod(compiling))
+    monkeypatch.setattr(ecsolve, "staying_bounds", staying)
+    return record
+
+
 @pytest.mark.parametrize(
     "family, params", [("treebigmec", {"n": 5}), ("treemulcomplsec", {"n": 3})]
 )
 def test_stats_count_the_staying_steps_of_dropped_trackers(
-    monkeypatch, staying_steps, family, params
+    staying_work, staying_steps, family, params
 ):
     """Trackers are replaced as their components grow; ``staying_steps``
     still counts every plain staying-value step of the solve, those of the
-    iterations that dropped trackers handed over included."""
-    handed_over = []
-    absorb = MecTracker.absorb
-
-    def recording(tracker, other):
-        handed_over.append(other.staying_steps)
-        absorb(tracker, other)
-
-    monkeypatch.setattr(MecTracker, "absorb", recording)
+    iterations that dropped trackers compiled included."""
     model, _ = generate(family, **params)
     result = solve_pe(model, Objective.mean_payoff(model))
-    assert sum(handed_over) > 0
+    dropped = [
+        iteration.steps
+        for tracker, _, iteration in staying_work["compiled"]
+        if tracker not in staying_work["last"]
+    ]
+    assert sum(dropped) > 0
     assert result.stats["staying_steps"] == staying_steps[0]
+
+
+def test_grown_mec_resumes_the_iterations_of_the_old_one(staying_work):
+    """The solve's one staying cache compiles each end component once, and
+    the tracker of a grown MEC reads an iteration that the tracker of the
+    MEC it grew from compiled."""
+    model, _ = generate("treebigmec", n=5)
+    assert solve_pe(model, Objective.mean_payoff(model)).converged
+    compiled = staying_work["compiled"]
+    ecs = [ec for _, ec, _ in compiled]
+    assert len(set(ecs)) == len(ecs)
+    resumed = [
+        (owner, reader)
+        for owner, _, iteration in compiled
+        for reader in staying_work["read"][id(iteration)]
+        if reader is not owner
+    ]
+    assert resumed
+    assert all(owner.mec.states < reader.mec.states for owner, reader in resumed)
 
 
 @pytest.mark.parametrize(
