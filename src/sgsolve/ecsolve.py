@@ -35,7 +35,8 @@ the greatest difference ``T(x) - x`` of one step from any finite iterate
 ``x`` bound every staying value (see ``_StayingIteration``).  So the
 iteration may replace its iterate by any finite guess without harming the
 bracket, and every few steps it does: by the reduced-rank extrapolation
-of its last iterates, while the bracket is narrowing.
+of its last iterates, while the bracket is narrowing.  Any step count
+gives a sound bracket, so a call stops once its best exit beats it.
 """
 
 from __future__ import annotations
@@ -135,7 +136,8 @@ class _StayingIteration:
     and each internal action is a tuple of ``(member index, probability)``
     pairs in support order.  ``x`` and ``diffs`` (the last step's
     differences) are indexed like ``members``; ``steps`` counts the plain
-    steps run.
+    steps run, and ``stalled`` tells whether the last ``staying_bounds``
+    call ran out of budget.
 
     A step applies the operator ``T(x) = r + x/2 + opt(P x)/2`` of the game
     restricted to the internal actions, blended with a half self-loop so
@@ -173,6 +175,7 @@ class _StayingIteration:
     hi: float = math.inf
     diffs: Optional[list[float]] = None
     steps: int = 0
+    stalled: bool = False
     # The iterates of the current period (at most ``depth + 2``, the latest
     # last) and the bracket's width after its first step.
     window: list[list[float]] = field(default_factory=list)
@@ -303,6 +306,8 @@ def staying_bounds(
     objective: Objective,
     precision: float,
     cache: dict[EndComponent, _StayingIteration],
+    maximizer_exit: float = -math.inf,
+    minimizer_exit: float = math.inf,
 ) -> tuple[float, float]:
     """Converging bracket on the value obtained by remaining in the end
     component ``ec`` forever.
@@ -322,26 +327,34 @@ def staying_bounds(
     finite iterate it starts (see ``_StayingIteration``); the
     extrapolation only makes it close in fewer steps.
 
-    When the restricted game does not have a uniform value, the bracket
-    stalls at the spread of the per-state values and never closes; each
-    call therefore runs a bounded number of steps and returns the
-    still-valid loose bracket.  Refinement then happens by splitting the
-    end component along the per-state gain estimates
-    (``split_candidates``), not by iterating further here.
+    A call stops once the bracket is within ``precision`` or the best exit
+    it serves beats it: ``hi <= maximizer_exit`` (deflate) or ``lo >=
+    minimizer_exit`` (inflate).  The bracket is sound after any number of
+    steps, and later ones only narrow it, so the better of staying and
+    that exit stays the exit: the de-/inflation is the same, bit for bit
+    (on a tie it takes the bracket's end, equal to the exit; a step's
+    differences and an exit's sum are never -0.0).  A restricted game
+    without a uniform value stalls the bracket at the spread of its
+    per-state values, so a call runs at most ``max(64, 4 * members)``
+    steps; one that runs out of them marks the iteration ``stalled``, and
+    ``split_candidates`` refines it instead.
     """
     if objective.kind is not ObjectiveKind.MEAN_PAYOFF:
-        if ec.states & objective.goal:
-            return (1.0, 1.0)
-        return (0.0, 0.0)
+        return (1.0, 1.0) if ec.states & objective.goal else (0.0, 0.0)
 
     state = cache.get(ec)
     if state is None:
         state = cache[ec] = _StayingIteration.compile(model, ec)
 
     budget = max(64, 4 * len(state.members))
-    steps = 0
-    while state.hi - state.lo > precision and steps < budget:
-        steps += 1
+    state.stalled = False
+    while state.hi - state.lo > precision:
+        if state.hi <= maximizer_exit or state.lo >= minimizer_exit:
+            break
+        if budget == 0:
+            state.stalled = True
+            break
+        budget -= 1
         state.advance()
     return state.lo, state.hi
 
@@ -435,8 +448,8 @@ def deflate(
     ``cache``) and Maximizer's best exit.  Never increases any upper bound
     and never drops it below the lower bound.  Returns whether a bound
     changed and the first best exit (None if there is none)."""
-    _, stay_high = staying_bounds(model, ec, objective, precision, cache)
     exit_value, exit = best_exit(model, ec, MAXIMIZER, bounds, objective)
+    _, stay_high = staying_bounds(model, ec, objective, precision, cache, exit_value)
     ceiling = max(stay_high, exit_value)
     changed = False
     lb, ub = bounds.lb, bounds.ub
@@ -465,8 +478,8 @@ def inflate(
     candidate of Minimizer, to the better (for Minimizer) of staying and
     Minimizer's best exit.  Returns whether a bound changed and the first
     best exit (None if there is none)."""
-    stay_low, _ = staying_bounds(model, ec, objective, precision, cache)
     exit_value, exit = best_exit(model, ec, MINIMIZER, bounds, objective)
+    stay_low, _ = staying_bounds(model, ec, objective, precision, cache, minimizer_exit=exit_value)
     floor = min(stay_low, exit_value)
     changed = False
     lb, ub = bounds.lb, bounds.ub
@@ -494,25 +507,22 @@ class MecTracker:
     candidates are re-derived only when the recommender signature (the
     optimal actions inside the MEC) has changed.  They restrict the
     opponent to its optimal actions, which makes them tighter and so
-    serves convergence; soundness does not depend on it.  Every staying
-    iteration runs to ``precision``, epsilon/4, for the tracker's whole
-    life: the bracket is sound at any precision, which only bounds how
-    long a call iterates, and each call runs a bounded number of steps.
-    ``staying_cache`` is the solve's one staying cache, shared by all its
-    trackers: one iteration per end component (keyed by the
-    ``EndComponent`` itself), compiled once and shared by deflation and
-    inflation of it, whichever player's candidate it is.  An iteration is
-    kept for the whole solve, also while its end component is no
-    candidate, so a candidate that comes back resumes it.  That is sound:
-    the bracket holds from any finite iterate (see ``_StayingIteration``),
-    and the key fixes the internal actions the iteration runs on.  The end
-    components of different MECs are disjoint, so no two trackers share a
-    key; when partial exploration grows a MEC, the tracker of the grown
-    MEC finds each iteration of the old one under its key.
+    serves convergence; soundness does not depend on it.  A staying
+    iteration runs to ``precision``, epsilon/4, or until the best exit
+    beats it: its bracket is sound at any precision and step count.
+    ``staying_cache`` is the solve's one staying cache, which all its
+    trackers share: one iteration per end component, keyed by the
+    ``EndComponent`` itself, compiled once and serving deflation and
+    inflation alike.  It is kept for the whole solve, so a candidate that
+    comes back resumes it; that is sound, as the bracket holds from any
+    finite iterate (see ``_StayingIteration``) and the key fixes the
+    internal actions.  End components of different MECs are disjoint, so
+    trackers share no key, and when partial exploration grows a MEC, its
+    new tracker finds the old MEC's iterations under their keys.
 
-    A ``process`` call that changes no bound and leaves no candidate's
-    staying bracket wider than ``precision`` (such a candidate is passed
-    to ``split_candidates``) is quiet.  After one, the tracker keeps the
+    A ``process`` call that changes no bound and stalls no candidate's
+    staying iteration (a stalled candidate is passed to
+    ``split_candidates``) is quiet.  After one, the tracker keeps the
     bounds that processing reads (those of the MEC's states and of all
     their successors) until the next call that is not skipped; they are
     all that ``_nothing_to_do`` compares, since brackets never widen.
@@ -611,11 +621,13 @@ class MecTracker:
     def _nothing_to_do(self, bounds: BoundsVector) -> bool:
         """Whether processing now would change nothing: the last call was
         quiet and no bound it read has moved since.  A quiet call left
-        every candidate's staying bracket within the precision, and
-        brackets never widen.  So the recommender signature is unchanged,
-        no staying step and no split runs, and every de-/inflation sees the
-        bounds and the bracket it saw in the quiet call, so it changes
-        nothing again and picks the same exits."""
+        every candidate's staying bracket within the precision or beaten
+        by the candidate's best exit, which the same bounds leave as it
+        was, and brackets never widen.  So the recommender signature is
+        unchanged, no staying step and no split runs, and every
+        de-/inflation sees the bounds and the bracket it saw in the quiet
+        call, or one that its exit still beats, so it changes nothing
+        again and picks the same exits."""
         if self._quiet is None:
             return False
         lb_seen, ub_seen = self._quiet
@@ -651,8 +663,9 @@ class MecTracker:
         staying; the call then returns the MEC's own first best exits and
         stops.  Otherwise it drops them and goes on as every later call
         does: it refreshes the candidates if needed and de-/inflates them,
-        splitting those whose staying bracket stalled, and a candidate
-        equal to the MEC resumes the whole step's staying iteration.
+        splitting those whose staying iteration stalled (ran out of budget
+        before its best exit beat it), and a candidate equal to the MEC
+        resumes the whole step's staying iteration.
 
         A call for which ``_nothing_to_do`` holds is skipped and returns
         None instead of repeating the exits of the quiet call before it.
@@ -684,12 +697,11 @@ class MecTracker:
             while worklist:
                 ec = worklist.pop()
                 changed, exit = operate(model, ec, bounds, objective, precision, cache)
-                if changed:
-                    quiet = False
+                quiet = quiet and not changed
                 if exit is not None:
                     used.append((ec.states, exit))
                 iteration = cache.get(ec)  # None for reachability
-                if iteration is not None and iteration.hi - iteration.lo > precision:
+                if iteration is not None and iteration.stalled:
                     # Later steps in this call may narrow the bracket split
                     # on; the next call would then split nothing.
                     quiet = False

@@ -47,7 +47,7 @@ from .bounds import (
     state_update,
 )
 from .ecsolve import MecTracker
-from .graph import EndComponent, mec_decompose
+from .graph import mec_decompose
 from .model import MAXIMIZER, Distribution, GameModel
 from .objectives import Objective, prepare
 from .result import SolveResult
@@ -262,19 +262,15 @@ def _refresh_components(
         region = _changed_region(model, part)
         part.added = []
         part.decomposed_states += len(region)
-        fresh = []
-        old_by_mec: dict[EndComponent, MecTracker] = {}
+        fresh, old_by_mec = [], {}
         for tracker in trackers:
             # A MEC lies inside one SCC, so it is in the region or outside it.
-            if next(iter(tracker.mec.states)) not in region:
+            if next(iter(tracker.mec.states)) in region:
+                old_by_mec[tracker.mec] = tracker
+            else:
                 fresh.append(tracker)
-                continue
-            old_by_mec[tracker.mec] = tracker
         for mec in mec_decompose(model, restrict_to=region).mecs:
-            tracker = old_by_mec.get(mec)
-            if tracker is None:
-                tracker = MecTracker(mec, objective, epsilon, staying_cache)
-            fresh.append(tracker)
+            fresh.append(old_by_mec.get(mec) or MecTracker(mec, objective, epsilon, staying_cache))
         fresh.sort(key=lambda tracker: min(tracker.mec.states))
     for tracker in fresh:
         if tracker.settled(part.bounds):

@@ -118,16 +118,22 @@ def random_objective(rng: random.Random, model: GameModel) -> Objective:
     return Objective.safety(states)
 
 
+# The stream's generator and the games drawn from it so far, shared by the
+# whole session; models and objectives are immutable.
+_STREAM_RNG = random.Random(11)
+_STREAM: list[tuple[GameModel, Objective]] = []
+
+
 def stream_game(index: int) -> tuple[GameModel, Objective]:
     """Game ``index`` (counted from 0) of the random-game stream that the
     notes in ROADMAP.md and CHANGES.md cite: ``random.Random(11)`` draws
     ``random_game(rng, max_states=rng.choice([8, 30, 80, 200]))``, then
-    ``random_objective``, once per game."""
-    rng = random.Random(11)
-    for _ in range(index + 1):
-        model = random_game(rng, max_states=rng.choice([8, 30, 80, 200]))
-        objective = random_objective(rng, model)
-    return model, objective
+    ``random_objective``, once per game.  The stream is drawn only as far
+    as the largest index asked for so far."""
+    while len(_STREAM) <= index:
+        model = random_game(_STREAM_RNG, max_states=_STREAM_RNG.choice([8, 30, 80, 200]))
+        _STREAM.append((model, random_objective(_STREAM_RNG, model)))
+    return _STREAM[index]
 
 
 def tree_compl_value(n: int) -> float:

@@ -530,10 +530,10 @@ def test_trackers_start_at_the_tight_staying_precision(monkeypatch):
     precisions: list[float] = []
     staying_bounds = ecsolve.staying_bounds
 
-    def recording(model, ec, objective, precision, cache):
+    def recording(model, ec, objective, precision, *args, **kwargs):
         firsts.setdefault(ec, precision)
         precisions.append(precision)
-        return staying_bounds(model, ec, objective, precision, cache)
+        return staying_bounds(model, ec, objective, precision, *args, **kwargs)
 
     monkeypatch.setattr(ecsolve, "staying_bounds", recording)
     model, _ = fig1_left()

@@ -720,21 +720,28 @@ class TestProcessSkip:
     def test_quiet_calls_leave_every_bracket_within_precision(self, monkeypatch, rng):
         """``_nothing_to_do`` compares bounds only: it relies on a quiet
         call leaving every candidate's staying bracket within the
-        tracker's precision, since brackets never widen."""
+        tracker's precision or beaten by the candidate's best exit, which
+        the same bounds leave as it is, since brackets never widen."""
         real = MecTracker.process
         quiet = []
 
         def process(tracker, model, bounds):
             exits = real(tracker, model, bounds)
             if exits is not None and tracker._quiet is not None:
-                widths = [
-                    iteration.hi - iteration.lo
-                    for cands in tracker.candidates.values()
+                brackets = [
+                    (beneficiary, c, iteration)
+                    for beneficiary, cands in tracker.candidates.items()
                     for c in cands
                     if (iteration := tracker.staying_cache.get(c)) is not None
                 ]
-                assert all(w <= tracker.precision for w in widths)
-                quiet.append(bool(widths))
+                for beneficiary, c, iteration in brackets:
+                    exit_value, _ = best_exit(model, c, beneficiary, bounds, tracker.objective)
+                    assert (
+                        iteration.hi - iteration.lo <= tracker.precision
+                        or (iteration.hi <= exit_value if beneficiary is MAX
+                            else iteration.lo >= exit_value)
+                    )
+                quiet.append(bool(brackets))
             return exits
 
         monkeypatch.setattr(MecTracker, "process", process)
