@@ -340,7 +340,9 @@ def staying_bounds(
     ``split_candidates`` refines it instead.
     """
     if objective.kind is not ObjectiveKind.MEAN_PAYOFF:
-        return (1.0, 1.0) if ec.states & objective.goal else (0.0, 0.0)
+        if ec.states & objective.goal:
+            return (1.0, 1.0)
+        return (0.0, 0.0)
 
     state = cache.get(ec)
     if state is None:
@@ -622,12 +624,11 @@ class MecTracker:
         """Whether processing now would change nothing: the last call was
         quiet and no bound it read has moved since.  A quiet call left
         every candidate's staying bracket within the precision or beaten
-        by the candidate's best exit, which the same bounds leave as it
-        was, and brackets never widen.  So the recommender signature is
-        unchanged, no staying step and no split runs, and every
-        de-/inflation sees the bounds and the bracket it saw in the quiet
-        call, or one that its exit still beats, so it changes nothing
-        again and picks the same exits."""
+        by its best exit, which the same bounds leave as it was, and
+        brackets never widen.  So the recommender signature is unchanged,
+        no staying step and no split runs, and every de-/inflation sees
+        the bounds of the quiet call and its bracket, or one its exit
+        still beats: it changes nothing again and picks the same exits."""
         if self._quiet is None:
             return False
         lb_seen, ub_seen = self._quiet

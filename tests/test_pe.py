@@ -379,11 +379,11 @@ def test_stream_game_46_takes_few_staying_steps():
 
 
 # (game, solver): float.hex of lower and upper, iterations and staying steps,
-# pinned with the extrapolation's spread guard in place, on Python 3.11.  #3,
-# #39 and #79 split, absorb and extrapolate; #7 is PE absorbing on
-# reachability; #24 and #94 are safety; #115 reaches CE's candidate search.
-# The extrapolation sums through ``sum``, which compensates rounding from
-# Python 3.12, so there #3 and #79 get other bits.
+# pinned with the extrapolation's spread guard in place and staying
+# iterations that stop once the best exit beats them.  #3, #39 and #79 split
+# and extrapolate; #7 is PE absorbing on reachability; #24 and #94 are
+# safety; #115 reaches CE's candidate search.  Float sums are left folds, so
+# every supported Python gives these bits.
 STREAM_PINS = {
     (3, "ce"): ("0x1.7cfa50ee9bfa0p+2", "0x1.7cfa51556adfep+2", 1, 507),
     (3, "pe"): ("0x1.7cfa50ee9bfa0p+2", "0x1.7cfa51556adfep+2", 4, 566),
