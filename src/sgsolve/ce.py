@@ -192,9 +192,10 @@ def solve_ce(
         for i in pending:
             c = components[i]
             if _some_action_stays(work, c):
+                scc = {s: range(len(work.actions[s])) for s in c}
                 trackers[i] = [
                     MecTracker(mec, working_objective, epsilon, staying_cache)
-                    for mec in mec_decompose(work, c, strongly_connected=True).mecs
+                    for mec in mec_decompose(work, scc, strongly_connected=True).mecs
                 ]
     # Every tracker, also those dropped once their component is resolved.
     made = [tracker for group in trackers for tracker in group]

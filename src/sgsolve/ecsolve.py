@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .bounds import BoundsVector, optimal_actions
 from .graph import EndComponent, mec_decompose
@@ -58,7 +58,7 @@ Exit = tuple[frozenset[int], tuple[int, int]]
 
 def _candidates_in(
     model: GameModel,
-    states: frozenset[int],
+    states: Iterable[int],
     beneficiary: Player,
     opponent_actions: dict[int, tuple[int, ...]],
 ) -> list[EndComponent]:
@@ -66,13 +66,11 @@ def _candidates_in(
     there when the opponent may use only ``opponent_actions`` at its
     states."""
     opponent = beneficiary.opponent
-
-    def allowed(state: int):
-        if model.owners[state] is opponent:
-            return opponent_actions[state]
-        return range(model.num_actions(state))
-
-    return list(mec_decompose(model, restrict_to=states, allowed_actions=allowed).mecs)
+    subgame = {
+        s: opponent_actions[s] if model.owners[s] is opponent else range(model.num_actions(s))
+        for s in states
+    }
+    return list(mec_decompose(model, subgame).mecs)
 
 
 def sec_candidates(
@@ -392,7 +390,7 @@ def split_candidates(
     amap = ec.action_map()
     subs: list[EndComponent] = []
     for group in groups:
-        subs.extend(_candidates_in(model, frozenset(group), beneficiary, amap))
+        subs.extend(_candidates_in(model, group, beneficiary, amap))
     return subs
 
 

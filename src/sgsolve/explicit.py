@@ -227,6 +227,9 @@ def parse(text: str) -> tuple[GameModel, dict[str, frozenset[int]]]:
 
 
 def serialize(model: GameModel, labels: Optional[dict[str, frozenset[int]]] = None) -> str:
+    """The document that ``parse`` reads back as (model, labels).  Raises
+    ValueError for a label name that ``parse`` rejects or a label state
+    the model lacks."""
     out = [f"{FORMAT_NAME} {FORMAT_VERSION}"]
     out.append(f"states {model.num_states}")
     out.append(f"initial {model.initial}")
@@ -237,6 +240,10 @@ def serialize(model: GameModel, labels: Optional[dict[str, frozenset[int]]] = No
             entries = " ".join(f"{t}:{p!r}" for t, p in dist.support)
             out.append(f"action -> {entries}")
     for name in sorted(labels or {}):
+        if not _LABEL_NAME.match(name):
+            raise ValueError(f"invalid label name {name!r}")
+        if not all(0 <= s < model.num_states for s in labels[name]):
+            raise ValueError(f"label {name!r} holds a state the model lacks")
         members = ", ".join(str(s) for s in sorted(labels[name]))
         out.append(f"label {name} = {{{members}}}")
     return "\n".join(out) + "\n"

@@ -8,11 +8,13 @@ can have paths far deeper than the interpreter stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .model import MAXIMIZER, GameModel, Player
 
-ActionFilter = Callable[[int], Iterable[int]]
+# A subgame: each of its states with the indices of the actions that count
+# there.  Edges that leave the states are ignored.
+Subgame = Mapping[int, Sequence[int]]
 
 
 @dataclass(frozen=True)
@@ -39,25 +41,19 @@ class MecDecomposition:
     mecs: tuple[EndComponent, ...]
 
 
-def scc_decompose(
-    model: GameModel,
-    restrict_to: Optional[Iterable[int]] = None,
-    allowed_actions: Optional[ActionFilter] = None,
-) -> list[list[int]]:
-    """Tarjan's algorithm, iterative.  Returns SCCs in reverse topological
-    order (components without outgoing edges first), each sorted."""
-    restrict = None if restrict_to is None else frozenset(restrict_to)
-    vertices = sorted(restrict) if restrict is not None else list(model.states())
+def scc_decompose(model: GameModel, subgame: Optional[Subgame] = None) -> list[list[int]]:
+    """Tarjan's algorithm, iterative, on ``subgame`` (the whole game when
+    None).  Returns SCCs in reverse topological order (components without
+    outgoing edges first), each sorted."""
+    vertices = list(model.states()) if subgame is None else sorted(subgame)
     actions = model.actions
 
     def successors(v: int) -> Iterator[int]:
         dists = actions[v]
-        if allowed_actions is None:
+        if subgame is None:
             out = {t for d in dists for t, _ in d.support}
         else:
-            out = {t for a in allowed_actions(v) for t, _ in dists[a].support}
-        if restrict is not None:
-            out &= restrict
+            out = {t for a in subgame[v] for t, _ in dists[a].support if t in subgame}
         return iter(sorted(out))
 
     index: dict[int, int] = {}
@@ -110,18 +106,17 @@ def scc_decompose(
 
 def mec_decompose(
     model: GameModel,
-    restrict_to: Optional[Iterable[int]] = None,
-    allowed_actions: Optional[ActionFilter] = None,
+    subgame: Optional[Subgame] = None,
     *,
     strongly_connected: bool = False,
 ) -> MecDecomposition:
-    """Maximal end components by iterative SCC refinement.
+    """Maximal end components of ``subgame`` (the whole game when None) by
+    iterative SCC refinement.
 
     Actions whose support leaves the candidate region are pruned and
     states left without actions are dropped; Tarjan's algorithm splits
     what remains into SCCs, each a candidate of its own, until stable.
-    ``restrict_to`` prunes actions leaving the given set rather than
-    treating them as errors.
+    Actions leaving the subgame are pruned too, not treated as errors.
 
     A candidate known to be strongly connected needs no search of its
     own when pruning keeps an action at each of its states and drops no
@@ -131,29 +126,19 @@ def mec_decompose(
     end component, and since it is the whole SCC it was searched in, it
     is the maximal end component there.  Every SCC that Tarjan's
     algorithm returns is such a candidate.  ``strongly_connected``
-    declares that ``restrict_to`` (the whole game when None) is one too,
-    through ``allowed_actions``: an SCC the caller has already found.
+    declares that ``subgame`` is one too: an SCC the caller has already
+    found.
     """
-    if restrict_to is not None:
-        base = frozenset(restrict_to)
-    else:
-        base = frozenset(model.states())
-
-    def initial_actions(state: int) -> tuple[int, ...]:
-        if allowed_actions is None:
-            return tuple(range(model.num_actions(state)))
-        return tuple(allowed_actions(state))
-
+    if subgame is None:
+        subgame = {s: range(model.num_actions(s)) for s in model.states()}
     mecs: list[EndComponent] = []
     # Candidates with whether each is known to be strongly connected.
-    worklist: list[tuple[dict[int, tuple[int, ...]], bool]] = [
-        ({s: initial_actions(s) for s in sorted(base)}, strongly_connected)
-    ]
+    worklist: list[tuple[Subgame, bool]] = [(subgame, strongly_connected)]
     while worklist:
         candidate, connected = worklist.pop()
         # Keep only actions fully inside the candidate, and note whether
         # every edge inside survives.
-        pruned: dict[int, tuple[int, ...]] = {}
+        pruned: dict[int, Sequence[int]] = {}
         intact = True
         for s, acts in candidate.items():
             dists = model.actions[s]
@@ -189,9 +174,7 @@ def mec_decompose(
         if connected and intact and whole:
             mecs.append(EndComponent.of(pruned, pruned))
             continue
-        components = scc_decompose(
-            model, restrict_to=pruned.keys(), allowed_actions=pruned.__getitem__
-        )
+        components = scc_decompose(model, pruned)
         if whole and len(components) == 1:
             mecs.append(EndComponent.of(pruned, pruned))
             continue

@@ -241,8 +241,8 @@ def _refresh_components(
     kept no MEC is dropped.  The region only grows, so each end component
     cached so far is still one, with the same internal actions, and the
     tracker of the grown MEC that holds it resumes its iteration soundly.
-    The result equals ``mec_decompose(model, restrict_to=part.explored)``,
-    in its order.
+    The result equals ``mec_decompose`` of the subgame that maps every
+    explored state to all of its actions, in its order.
 
     A settled tracker (``MecTracker.settled``, which remembers a True
     answer) is not processed; it stays in the returned list.  A
@@ -269,7 +269,8 @@ def _refresh_components(
                 old_by_mec[tracker.mec] = tracker
             else:
                 fresh.append(tracker)
-        for mec in mec_decompose(model, restrict_to=region).mecs:
+        subgame = {s: range(len(model.actions[s])) for s in region}
+        for mec in mec_decompose(model, subgame).mecs:
             fresh.append(old_by_mec.get(mec) or MecTracker(mec, objective, epsilon, staying_cache))
         fresh.sort(key=lambda tracker: min(tracker.mec.states))
     for tracker in fresh:

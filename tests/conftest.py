@@ -84,6 +84,11 @@ def relabelled(model: GameModel, labels: dict, seed: int) -> tuple[GameModel, di
     return game, {name: frozenset(new_id[s] for s in states) for name, states in labels.items()}
 
 
+def all_actions(model: GameModel, states) -> dict[int, range]:
+    """The subgame of ``states`` with every action of each."""
+    return {s: range(model.num_actions(s)) for s in states}
+
+
 def random_game(rng: random.Random, max_states: int = 8) -> GameModel:
     """Small game with dyadic probabilities (multiples of 1/16), up to 3
     actions per state and integer rewards in [0, 10]."""

@@ -45,6 +45,21 @@ def test_serialize_parse_round_trip_on_example():
     assert labels2 == labels
 
 
+@pytest.mark.parametrize("name", ["has space", "1abc"])
+def test_serialize_rejects_a_label_name_parse_rejects(name):
+    model, _ = generators.fig1_right()
+    with pytest.raises(ValueError, match="label name"):
+        serialize(model, {name: frozenset({0})})
+
+
+@pytest.mark.parametrize("state", [99, -1])
+def test_serialize_rejects_a_label_state_the_model_lacks(state):
+    model, _ = generators.fig1_right()
+    assert model.num_states == 4
+    with pytest.raises(ValueError, match="lacks"):
+        serialize(model, {"goal": frozenset({0, state})})
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_round_trip_is_identity_on_random_games(seed):

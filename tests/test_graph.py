@@ -1,6 +1,7 @@
 """Graph analysis: SCCs, maximal end components and the qualitative
 reachability sets."""
 
+import hashlib
 import itertools
 import random
 
@@ -10,6 +11,7 @@ import pytest
 from conftest import (
     MAX,
     MIN,
+    all_actions,
     dirac,
     dist,
     random_game,
@@ -47,13 +49,13 @@ class TestScc:
 
     def test_restriction(self):
         m = cycle_model()
-        assert scc_decompose(m, restrict_to={0, 1}) == [[0, 1]]
-        assert scc_decompose(m, restrict_to={0}) == [[0]]
+        assert scc_decompose(m, all_actions(m, {0, 1})) == [[0, 1]]
+        assert scc_decompose(m, all_actions(m, {0})) == [[0]]
 
     def test_allowed_actions(self):
         m = cycle_model()
         # Cutting the back edge 1 -> 0 splits the cycle.
-        sccs = scc_decompose(m, allowed_actions=lambda s: [1] if s == 1 else [0])
+        sccs = scc_decompose(m, {s: [1] if s == 1 else [0] for s in m.states()})
         assert [0] in sccs and [1] in sccs
 
     def test_matches_networkx_on_random_models(self, rng):
@@ -64,7 +66,8 @@ class TestScc:
                 s: sorted(rng.sample(range(m.num_actions(s)), rng.randint(1, m.num_actions(s))))
                 for s in m.states()
             }
-            for restrict, acts in ((None, None), (subset, None), (None, allowed)):
+            cases = ((None, None), (subset, None), (None, allowed), (subset, allowed))
+            for restrict, acts in cases:
                 vertices = set(m.states()) if restrict is None else set(restrict)
                 graph = nx.DiGraph()
                 graph.add_nodes_from(vertices)
@@ -73,10 +76,10 @@ class TestScc:
                         graph.add_edges_from(
                             (s, t) for t, _ in m.distribution(s, a).support if t in vertices
                         )
-                sccs = scc_decompose(
-                    m, restrict_to=restrict,
-                    allowed_actions=None if acts is None else acts.__getitem__,
-                )
+                subgame = None if restrict is None and acts is None else {
+                    s: range(m.num_actions(s)) if acts is None else acts[s] for s in vertices
+                }
+                sccs = scc_decompose(m, subgame)
                 assert len(sccs) == len({frozenset(c) for c in sccs})
                 assert {frozenset(c) for c in sccs} == {
                     frozenset(c) for c in nx.strongly_connected_components(graph)
@@ -86,6 +89,54 @@ class TestScc:
                 # an earlier component.
                 position = {s: i for i, c in enumerate(sccs) for s in c}
                 assert all(position[t] <= position[s] for s, t in graph.edges)
+
+
+# The exact order of the SCCs of four relabelled families, whole and in one
+# subgame each: CE visits components in this order, so its bits depend on it.
+# A long order is pinned by the sha256 of its repr.
+SCC_ORDER_PINS = {
+    "dicerace": (
+        "da9abf1982fadf946ee1867cde39fe1774f5ce95cd0e8403a703e4c646a3f5a2",
+        "abf9a4e619ec42425a9722eb52cb7d3bd1d286ea2f45740d0cb8a14c1aadcf08",
+    ),
+    "treemulsec": (
+        "7a82b67bebd0082aa7f05e8f944da5cb1b2abf6794f9f9e60b6771f4964f4a57",
+        "183a931fbf4f7eeefbfcdddd2ac9609d43ff25533e0088000c09b2effee3cfac",
+    ),
+    "treebigmec": (
+        [list(range(15))],
+        [[8, 9, 11, 12, 13], [1], [2], [3], [6], [5], [10], [4]],
+    ),
+    "fig2chain": (
+        [[4], [5], [2], [7], [0], [1], [3], [6]],
+        [[1], [4], [5], [2], [3], [6]],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("dicerace", {"target": 8}),
+        ("treemulsec", {"n": 4}),
+        ("treebigmec", {"n": 3}),
+        ("fig2chain", {"k": 3}),
+    ],
+)
+def test_scc_order_is_pinned(family, params):
+    model = relabelled(*generate(family, **params), 5)[0]
+    # Every state but each seventh, each third one without its last action.
+    subgame = {
+        s: range(model.num_actions(s) - (s % 3 == 0 and model.num_actions(s) > 1))
+        for s in model.states()
+        if s % 7
+    }
+    whole, part = SCC_ORDER_PINS[family]
+    for sccs, pin in ((scc_decompose(model), whole), (scc_decompose(model, subgame), part)):
+        if isinstance(pin, str):
+            assert hashlib.sha256(repr(sccs).encode()).hexdigest() == pin
+        else:
+            assert sccs == pin
 
 
 def brute_force_mecs(model):
@@ -162,7 +213,7 @@ class TestMecDecompose:
 
     def test_restriction_prunes_leaving_actions(self):
         m = cycle_model()
-        decomposition = mec_decompose(m, restrict_to={0, 1})
+        decomposition = mec_decompose(m, all_actions(m, {0, 1}))
         assert [mec.states for mec in decomposition.mecs] == [frozenset({0, 1})]
 
     def test_search_per_scc_finds_every_mec(self, rng):
@@ -180,17 +231,18 @@ class TestMecDecompose:
             per_scc = [
                 mec
                 for component in scc_decompose(model)
-                for mec in mec_decompose(model, restrict_to=component).mecs
+                for mec in mec_decompose(model, all_actions(model, component)).mecs
             ]
             per_scc.sort(key=lambda ec: min(ec.states))
             assert tuple(per_scc) == mec_decompose(model).mecs
 
 
-def plain_mecs(model, restrict_to):
-    """Reference MEC refinement that runs Tarjan's algorithm on every
-    candidate, also on one already known to be strongly connected."""
+def plain_mecs(model, states):
+    """Reference MEC refinement of ``states`` with all their actions that
+    runs Tarjan's algorithm on every candidate, also on one already known
+    to be strongly connected."""
     mecs = []
-    worklist = [{s: tuple(range(model.num_actions(s))) for s in sorted(restrict_to)}]
+    worklist = [{s: tuple(range(model.num_actions(s))) for s in sorted(states)}]
     while worklist:
         candidate = worklist.pop()
         pruned = {}
@@ -203,7 +255,7 @@ def plain_mecs(model, restrict_to):
                 pruned[s] = kept
         if not pruned:
             continue
-        components = scc_decompose(model, pruned, pruned.__getitem__)
+        components = scc_decompose(model, pruned)
         if pruned == candidate and len(components) == 1:
             mecs.append(EndComponent.of(pruned, pruned))
             continue
@@ -228,7 +280,8 @@ class TestKnownScc:
         # drops its only edge 1 -> 2, so 2 is in no MEC.
         model = pruned_edge_game()
         assert scc_decompose(model) == [[3], [0, 1, 2]]
-        (mec,) = mec_decompose(model, [0, 1, 2], strongly_connected=True).mecs
+        subgame = all_actions(model, [0, 1, 2])
+        (mec,) = mec_decompose(model, subgame, strongly_connected=True).mecs
         assert mec == EndComponent.of([0, 1], {0: (0,), 1: (1,)})
         assert [ec.states for ec in mec_decompose(model).mecs] == [{0, 1}, {3}]
 
@@ -244,7 +297,8 @@ class TestKnownScc:
         for model in games:
             assert list(mec_decompose(model).mecs) == plain_mecs(model, model.states())
             for component in scc_decompose(model):
-                known = mec_decompose(model, component, strongly_connected=True)
+                subgame = all_actions(model, component)
+                known = mec_decompose(model, subgame, strongly_connected=True)
                 assert list(known.mecs) == plain_mecs(model, component)
 
 

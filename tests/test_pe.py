@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     MAX,
     MIN,
+    all_actions,
     dirac,
     random_game,
     random_objective,
@@ -456,7 +457,7 @@ def checked_refreshes(monkeypatch):
 
     def refresh(model, part, *args):
         trackers = real(model, part, *args)
-        expected = mec_decompose(model, restrict_to=part.explored).mecs
+        expected = mec_decompose(model, all_actions(model, part.explored)).mecs
         assert [t.mec for t in trackers] == list(expected)
         seen.append(len(trackers))
         return trackers
@@ -517,7 +518,7 @@ class TestIncrementalComponents:
             region = pe._changed_region(model, part)
             assert region == forward & backward
             holding = set()
-            for component in scc_decompose(model, restrict_to=explored):
+            for component in scc_decompose(model, all_actions(model, explored)):
                 inside = region.issuperset(component)
                 assert inside or region.isdisjoint(component)
                 if not set(component).isdisjoint(added):
